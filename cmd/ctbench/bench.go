@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"testing"
@@ -121,14 +120,6 @@ type benchSnapshot struct {
 	MergeNSPerSnapshot   float64 `json:"merge_ns_per_snapshot"`
 	MergeNSPerEntry      float64 `json:"merge_ns_per_entry"`
 	MergeAllocsPerOp     float64 `json:"merge_allocs_per_op"`
-
-	// Sink contention: the shared-state hot paths (observability
-	// registry, manifest journal, result cache) measured under the
-	// legacy shared-atomic/flush-per-record regime versus the
-	// shard-and-commit regime, at GOMAXPROCS workers and at 4x
-	// oversubscription.
-	SinkContention   *harness.SinkBenchResult `json:"sink_contention,omitempty"`
-	SinkContention4x *harness.SinkBenchResult `json:"sink_contention_4x,omitempty"`
 
 	// Core-path allocation counts (testing.AllocsPerRun).
 	// RunWorkloadAllocs measures the direct (trace-off) path;
@@ -345,25 +336,6 @@ func writeBenchSnapshot(path string, selected []harness.Experiment, opts harness
 		}
 		obs.Disarm()
 		obs.Reset()
-	}
-
-	// Sink contention at full width and 4x oversubscription. The bench
-	// arms and resets the registry itself.
-	if dir, err := os.MkdirTemp("", "ctbia-bench-sink-*"); err == nil {
-		defer os.RemoveAll(dir)
-		full := runtime.GOMAXPROCS(0)
-		if r, err := harness.RunSinkContentionBench(harness.SinkBenchConfig{
-			Workers: full, Items: 512, MetricsPerItem: 64,
-			Dir: filepath.Join(dir, "full"),
-		}); err == nil {
-			snap.SinkContention = &r
-		}
-		if r, err := harness.RunSinkContentionBench(harness.SinkBenchConfig{
-			Workers: 4 * full, Items: 512, MetricsPerItem: 64,
-			Dir: filepath.Join(dir, "4x"),
-		}); err == nil {
-			snap.SinkContention4x = &r
-		}
 	}
 
 	// Allocation counts on the core paths. These must stay at zero for

@@ -42,16 +42,12 @@
 //	                          # crashed or partially failed) run and
 //	                          # re-run only missing or failed
 //	                          # experiments; completed ones are served
-//	                          # from the cache
-//	ctbench -manifest-batch N # with -cache rw: commit the manifest
-//	                          # journal after N buffered outcomes
-//	                          # (default 32; 1 = commit every record).
-//	                          # A crash loses at most N-1 uncommitted
-//	                          # outcomes — -resume re-runs only those.
-//	ctbench -manifest-flushms MS
-//	                          # deadline for buffered manifest entries:
-//	                          # commit after MS milliseconds even if the
-//	                          # batch is not full (default 500)
+//	                          # from the cache. The journal and the
+//	                          # cache are write-through: each outcome
+//	                          # is on disk before the next one is
+//	                          # recorded, so a crash loses nothing
+//	                          # committed. A journal that cannot be
+//	                          # written draws one warning at exit
 //	ctbench -faults SPEC      # arm deterministic fault injection (same
 //	                          # grammar as the CTBIA_FAULTS env var),
 //	                          # e.g. 'seed=1; worker.panic@1' — chaos
@@ -192,8 +188,8 @@ type jsonReport struct {
 	Experiments  []jsonExperiment     `json:"experiments"`
 }
 
-// cleanup drains the journal and cache sinks before an early exit;
-// main replaces it once those sinks exist (os.Exit skips defers).
+// cleanup writes the final manifest snapshot before an early exit;
+// main replaces it once the manifest exists (os.Exit skips defers).
 var cleanup = func() {}
 
 func fatal(err error) {
@@ -220,8 +216,6 @@ func main() {
 	fanout := flag.Bool("fanout", true, "fan-out trace replay: charge every machine config of a grouped sweep from one decode pass per shared stream (false: serial per-config replay; tables are byte-identical either way)")
 	traceDir := flag.String("tracedir", "", "trace persistence directory (default <cachedir>/traces when -cache rw)")
 	resume := flag.Bool("resume", false, "resume a previous -cache rw run from its manifest journal (re-runs only missing or failed experiments)")
-	manifestBatch := flag.Int("manifest-batch", harness.DefaultManifestBatch, "manifest journal batch: buffered outcomes per commit (1 = commit every record)")
-	manifestFlushMS := flag.Int("manifest-flushms", int(harness.DefaultManifestFlushInterval/time.Millisecond), "manifest journal deadline flush, in milliseconds")
 	faults := flag.String("faults", "", "arm deterministic fault injection, e.g. 'seed=1; worker.panic@1' (chaos testing)")
 	jsonOut := flag.String("json", "", "write a machine-readable result file (wall times, machine counts, cache hits, table rows)")
 	benchJSON := flag.String("benchjson", "", "run the perf snapshot suite and write it to this file")
@@ -330,12 +324,6 @@ func main() {
 	if *resume && mode != resultcache.ReadWrite {
 		usageErr("-resume needs -cache rw: the result cache is what lets completed experiments be skipped")
 	}
-	if *manifestBatch < 1 {
-		usageErr("-manifest-batch %d: need at least 1 outcome per commit", *manifestBatch)
-	}
-	if *manifestFlushMS < 1 {
-		usageErr("-manifest-flushms %d: need a positive deadline", *manifestFlushMS)
-	}
 	if *faults != "" {
 		inj, err := faultinject.Parse(*faults)
 		if err != nil {
@@ -370,10 +358,6 @@ func main() {
 	if store.Pruned() > 0 {
 		fmt.Fprintf(os.Stderr, "ctbench: pruned %d stale cache entries (simulator version changed)\n", store.Pruned())
 	}
-	// Parallel workers save results concurrently; coalesce them into
-	// grouped commits off the workers' critical path. RunAll flushes at
-	// the end of the sweep and Close drains on every exit below.
-	store.EnableWriteBehind()
 
 	harness.SetTraceMode(tmode)
 	harness.SetTraceFanout(*fanout)
@@ -443,21 +427,23 @@ func main() {
 			manifest = harness.NewManifest(mpath, *quick)
 		}
 	}
-	// Stamp the journal with the producing run's provenance, apply the
-	// batching knobs and expose its commit accounting as a metrics
-	// source (all nil-safe when no manifest is in play).
+	// Stamp the journal with the producing run's provenance and expose
+	// its commit accounting as a metrics source (both nil-safe when no
+	// manifest is in play).
 	manifest.SetProvenance(harness.NewProvenance(flagLine))
-	manifest.SetBatch(*manifestBatch, 0, time.Duration(*manifestFlushMS)*time.Millisecond)
 	obs.RegisterSource(manifest.EmitMetrics)
-	// Fold buffered journal entries into the final snapshot and drain
-	// the cache's write-behind queue on every exit path; the explicit
-	// calls before os.Exit below cover the paths that skip defers.
-	closeSinks := func() {
+	// Write the final snapshot on every exit path and say so if any
+	// journal write failed; the explicit calls before os.Exit below
+	// cover the paths that skip defers.
+	closeManifest := func() {
 		manifest.Close()
-		store.Close()
+		if n := manifest.WriteFailures(); n > 0 {
+			fmt.Fprintf(os.Stderr, "ctbench: warning: %d manifest writes failed; -resume may re-run experiments missing from %s\n",
+				n, filepath.Join(store.Dir(), harness.ManifestName))
+		}
 	}
-	defer closeSinks()
-	cleanup = closeSinks
+	defer closeManifest()
+	cleanup = closeManifest
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -715,10 +701,10 @@ func main() {
 	}
 
 	if len(failures) > 0 {
-		// os.Exit skips defers; flush the CPU profile and drain the
-		// journal/cache sinks explicitly (no-ops when unused).
+		// os.Exit skips defers; flush the CPU profile and close the
+		// journal explicitly (a no-op when unused).
 		pprof.StopCPUProfile()
-		closeSinks()
+		closeManifest()
 		os.Exit(1)
 	}
 }

@@ -297,14 +297,9 @@ loop:
 			c.scan(now)
 		}
 	}
-	// The sweep is durable before anyone is told it finished: commit
-	// the journal tail and drain the cache's write-behind queue, then
-	// linger briefly so polling workers hear Done instead of dying on
-	// a refused connection.
-	c.opts.Manifest.Flush()
-	if c.opts.Cache != nil {
-		c.opts.Cache.Flush()
-	}
+	// Journal and cache are write-through, so the sweep is already
+	// durable; linger briefly so polling workers hear Done instead of
+	// dying on a refused connection.
 	c.mu.Lock()
 	sawWorkers := c.everJoined
 	c.mu.Unlock()
@@ -589,10 +584,10 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	if req.Version < MinProtocolVersion || req.Version > ProtocolVersion {
+	if req.Version != ProtocolVersion {
 		writeJSON(w, joinResponse{Reason: fmt.Sprintf(
 			"protocol version %d outside coordinator window [%d, %d]",
-			req.Version, MinProtocolVersion, ProtocolVersion)})
+			req.Version, ProtocolVersion, ProtocolVersion)})
 		return
 	}
 	if req.Salt != harness.SimVersionSalt {
@@ -624,21 +619,18 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	wo.proto = req.Version
 	c.obsMu.Unlock()
-	resp := joinResponse{
+	// Ask for exactly the observability this coordinator is itself
+	// collecting; a worker streaming into a disarmed registry would be
+	// pure overhead.
+	writeJSON(w, joinResponse{
 		OK:          true,
 		Quick:       c.opts.Quick,
 		HeartbeatMS: c.cfg.Heartbeat.Milliseconds(),
 		LeaseTTLMS:  c.cfg.LeaseTTL.Milliseconds(),
 		Version:     ProtocolVersion,
-	}
-	if req.Version >= 2 {
-		// Ask for exactly the observability this coordinator is itself
-		// collecting; a worker streaming into a disarmed registry would
-		// be pure overhead.
-		resp.Metrics = obs.Enabled()
-		resp.Timeline = obs.TimelineEnabled()
-	}
-	writeJSON(w, resp)
+		Metrics:     obs.Enabled(),
+		Timeline:    obs.TimelineEnabled(),
+	})
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {

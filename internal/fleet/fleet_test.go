@@ -392,7 +392,6 @@ func TestCacheAndManifestResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
 	exps := testExps(t, "config", "table2")
 	want := serialBaseline(t, exps)
 	mpath := filepath.Join(dir, "manifest.json")
@@ -409,8 +408,9 @@ func TestCacheAndManifestResume(t *testing.T) {
 	if got := renderAll(results); got != want {
 		t.Fatalf("first run tables differ:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	manifest.Close()
 
+	// No Close: every outcome the coordinator recorded is already on
+	// disk.
 	loaded, stale, err := harness.LoadManifest(mpath, true)
 	if err != nil || stale {
 		t.Fatalf("LoadManifest: err %v, stale %v", err, stale)

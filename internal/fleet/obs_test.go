@@ -172,8 +172,9 @@ func TestHeartbeatObsPerWorkerPlane(t *testing.T) {
 	}
 }
 
-// The join window accepts protocol v1 (tables only, no streaming) and
-// refuses anything newer than the coordinator speaks.
+// The join check accepts exactly the coordinator's protocol version
+// (with the metrics capability it is collecting) and refuses older and
+// newer workers alike.
 func TestJoinVersionWindow(t *testing.T) {
 	obsReset(t)
 	exps := testExps(t, "config")
@@ -186,7 +187,7 @@ func TestJoinVersionWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	wait := startRun(t, co)
-	w := NewWorker(WorkerConfig{URL: co.Addr(), ID: "w-v1", Opts: opts})
+	w := NewWorker(WorkerConfig{URL: co.Addr(), ID: "w-probe", Opts: opts})
 	join := func(id string, version int) joinResponse {
 		t.Helper()
 		var resp joinResponse
@@ -202,24 +203,28 @@ func TestJoinVersionWindow(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	obs.Arm() // so a v2 hello would advertise metrics
-	if resp := join("w-v1", 1); !resp.OK || resp.Metrics || resp.Timeline {
-		t.Errorf("v1 join answered %+v, want OK without streaming capabilities", resp)
+	obs.Arm() // so an accepted hello advertises metrics
+	if resp := join("w-v1", 1); resp.OK {
+		t.Errorf("v1 join answered %+v, want a refusal", resp)
+	}
+	if resp := join("w-v3", ProtocolVersion+1); resp.OK {
+		t.Errorf("v%d join answered %+v, want a refusal", ProtocolVersion+1, resp)
 	}
 	if resp := join("w-v2", 2); !resp.OK || resp.Version != ProtocolVersion || !resp.Metrics {
 		t.Errorf("v2 join answered %+v, want OK with version %d and metrics on", resp, ProtocolVersion)
 	}
-	if resp := join("w-v9", ProtocolVersion+1); resp.OK {
-		t.Errorf("v%d join answered %+v, want a refusal", ProtocolVersion+1, resp)
-	}
-	// A v1 worker's bare heartbeat (no v2 fields) must be accepted and
-	// merge nothing.
+	// Refused workers were never registered; a bare heartbeat from the
+	// accepted one is fine and merges nothing.
 	var hb heartbeatResponse
-	if err := w.post("/fleet/heartbeat", heartbeatRequest{Worker: "w-v1"}, &hb); err != nil || !hb.OK {
-		t.Fatalf("v1 heartbeat: err=%v resp=%+v", err, hb)
+	if err := w.post("/fleet/heartbeat", heartbeatRequest{Worker: "w-v1"}, &hb); err != nil || !hb.Unknown {
+		t.Errorf("refused worker's heartbeat: err=%v resp=%+v, want Unknown", err, hb)
+	}
+	hb = heartbeatResponse{}
+	if err := w.post("/fleet/heartbeat", heartbeatRequest{Worker: "w-v2"}, &hb); err != nil || !hb.OK {
+		t.Fatalf("v2 heartbeat: err=%v resp=%+v", err, hb)
 	}
 	if v := co.Stats().MetricSnapshots.Load(); v != 0 {
-		t.Errorf("metric_snapshots = %d after v1 traffic, want 0", v)
+		t.Errorf("metric_snapshots = %d after bare heartbeats, want 0", v)
 	}
 	wait()
 }

@@ -9,7 +9,7 @@
 // determinism: every experiment produces byte-identical tables
 // wherever it runs, so the coordinator accepts the first result for a
 // unit and counts any later copy as a dedup hit. Accepted results
-// funnel through the same content-addressed result cache and WAL'd
+// funnel through the same content-addressed result cache and
 // manifest journal as a local RunAll, so `ctbench -resume` behaves
 // identically for distributed and local sweeps.
 //
@@ -32,22 +32,16 @@ import (
 	"ctbia/internal/obs"
 )
 
-// ProtocolVersion gates the wire protocol. Since v2 the check is a
-// negotiation window rather than an equality: the coordinator accepts
-// any worker from MinProtocolVersion up and tells it which version it
-// speaks, so old workers keep computing (they just don't stream
-// observability) while a too-new worker is still refused.
+// ProtocolVersion gates the wire protocol: the coordinator refuses a
+// worker speaking any other version. Coordinator and worker are the
+// same binary, so there is no compatibility window to keep.
 //
 // v1: join/lease/heartbeat/result with tables only.
 // v2: heartbeats carry cumulative metric deltas, point progress and
-// clock samples; results carry the per-unit metric delta (already a v1
-// field, now populated), a final cumulative snapshot, executed-point
-// counts and buffered timeline spans; joins negotiate version and the
-// metrics/timeline capabilities.
-const (
-	ProtocolVersion    = 2
-	MinProtocolVersion = 1
-)
+// clock samples; results carry the per-unit metric delta, a final
+// cumulative snapshot, executed-point counts and buffered timeline
+// spans; joins hand out the metrics/timeline capabilities.
+const ProtocolVersion = 2
 
 // maxBodyBytes bounds request and response bodies (tables are a few
 // KB; the bound exists so a mangled length can't balloon a read).
@@ -66,18 +60,17 @@ type joinRequest struct {
 // joinResponse accepts or refuses a worker and, on accept, hands it
 // the run configuration: the coordinator's Quick scale (the worker's
 // own -quick flag is overridden — mixed sizes would corrupt the
-// sweep), the heartbeat interval, the lease TTL, the negotiated
-// protocol version and the observability capabilities the coordinator
-// wants exercised (a v1 coordinator omits all three; the zero values
-// degrade the worker to v1 behaviour).
+// sweep), the heartbeat interval, the lease TTL, the coordinator's
+// protocol version and the observability capabilities it wants
+// exercised.
 type joinResponse struct {
 	OK          bool   `json:"ok"`
 	Reason      string `json:"reason,omitempty"`
 	Quick       bool   `json:"quick"`
 	HeartbeatMS int64  `json:"heartbeat_ms"`
 	LeaseTTLMS  int64  `json:"lease_ttl_ms"`
-	// Version is the coordinator's protocol generation; the worker uses
-	// min(its own, this) and gates the v2 fields on it.
+	// Version is the coordinator's protocol generation (equal to the
+	// worker's, or the join would have been refused).
 	Version int `json:"version,omitempty"`
 	// Metrics asks the worker to arm its obs registry and stream
 	// snapshots (the coordinator's registry is armed and merging).
@@ -111,12 +104,13 @@ type leaseResponse struct {
 // not renew lease deadlines: the lease TTL is an execution deadline,
 // so a wedged-but-alive worker still forfeits its unit on time.
 //
-// Since v2 a heartbeat also piggybacks the worker's live observability:
+// A heartbeat also piggybacks the worker's live observability:
 // the registry entries that changed since the last acknowledged beat
 // (as cumulative values — the coordinator max-merges per key, so a
 // re-sent entry after a dropped beat is idempotent), cumulative point
 // progress, what the worker is executing, and a clock sample for
-// offset estimation. All optional: a v1 worker sends none of it.
+// offset estimation. Metric entries ride only when the coordinator
+// asked for them at join.
 type heartbeatRequest struct {
 	Worker string `json:"worker"`
 	// SentNS is the worker's clock at send time; with RTTNS (the

@@ -436,13 +436,6 @@ func RunAll(exps []Experiment, o Options) []Result {
 		})
 		obs.ProgressExpDone(false, true)
 	}
-	// The journal batches commits during the sweep (see Manifest); a
-	// finished sweep must be durable in full, so commit the tail. The
-	// cache's write-behind queue drains the same way.
-	o.Manifest.Flush()
-	if o.Cache != nil {
-		o.Cache.Flush()
-	}
 	return results
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -473,88 +474,90 @@ func TestPruneFastPathSkipsWalk(t *testing.T) {
 	}
 }
 
-// Write-behind: parallel Saves coalesce into grouped commits by the
-// background committer; queued entries serve read-your-writes hits
-// from memory, and Flush makes everything durable.
+// Saves are write-through: every entry is readable from a freshly
+// opened store the moment its Save returns, with no flush step, even
+// while other goroutines are saving.
 func TestWriteBehindCoalescesAndFlushes(t *testing.T) {
 	s := openRW(t)
-	s.EnableWriteBehind()
-	s.EnableWriteBehind() // idempotent
-	defer s.Close()
-
 	const n = 32
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := s.Save(Key("wb", fmt.Sprint(i)), payload{Name: "e", Vals: []int{i}}); err != nil {
+			key := Key("wt", fmt.Sprint(i))
+			if err := s.Save(key, payload{Name: "e", Vals: []int{i}}); err != nil {
+				t.Errorf("Save: %v", err)
+				return
+			}
+			fresh, err := Open(s.Dir(), ReadOnly, "")
+			if err != nil {
+				t.Errorf("Open: %v", err)
+				return
+			}
+			var got payload
+			if !fresh.Load(key, &got) || len(got.Vals) != 1 || got.Vals[0] != i {
+				t.Errorf("entry %d not on disk when Save returned: %+v", i, got)
+			}
+		}(i)
+	}
+	wg.Wait()
+	files, _ := filepath.Glob(filepath.Join(s.Dir(), "*.json"))
+	if len(files) != n {
+		t.Fatalf("%d files on disk, want %d", len(files), n)
+	}
+	if _, _, writes := s.Stats(); writes != n {
+		t.Errorf("writes = %d, want %d", writes, n)
+	}
+}
+
+// Concurrent Saves of one key leave exactly one complete entry — one
+// of the values written, never a torn mix — and no temp files.
+func TestWriteBehindCloseDrains(t *testing.T) {
+	s := openRW(t)
+	key := Key("wt", "same")
+	const n = 16
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			vals := make([]int, 64)
+			for j := range vals {
+				vals[j] = i
+			}
+			if err := s.Save(key, payload{Name: fmt.Sprint(i), Vals: vals}); err != nil {
 				t.Errorf("Save: %v", err)
 			}
 		}(i)
 	}
 	wg.Wait()
-
-	// Read-your-writes: every entry hits immediately, flushed or not.
-	var got payload
-	for i := 0; i < n; i++ {
-		if !s.Load(Key("wb", fmt.Sprint(i)), &got) || got.Vals[0] != i {
-			t.Fatalf("entry %d not served while queued: %+v", i, got)
+	files, _ := filepath.Glob(filepath.Join(s.Dir(), "*"))
+	var entries int
+	for _, f := range files {
+		if strings.HasPrefix(filepath.Base(f), "tmp-") {
+			t.Errorf("temp file left behind: %s", f)
+		}
+		if strings.HasSuffix(f, ".json") {
+			entries++
 		}
 	}
-
-	s.Flush()
-	s.Flush() // idempotent on an empty queue
-	files, _ := filepath.Glob(filepath.Join(s.Dir(), "*.json"))
-	if len(files) != n {
-		t.Fatalf("after Flush, %d files on disk, want %d", len(files), n)
+	if entries != 1 {
+		t.Fatalf("%d entries on disk for one key, want 1", entries)
 	}
-	metrics := map[string]uint64{}
-	s.EmitMetrics(func(name string, v uint64) { metrics[name] = v })
-	if metrics["resultcache.wb_pending"] != 0 {
-		t.Errorf("wb_pending = %d after Flush", metrics["resultcache.wb_pending"])
-	}
-	if g := metrics["resultcache.wb_commits"]; g == 0 || g > n {
-		t.Errorf("wb_commits = %d, want in [1,%d]", g, n)
-	}
-	if _, _, writes := s.Stats(); writes != n {
-		t.Errorf("writes = %d, want %d", writes, n)
-	}
-
-	// A fresh store (no queue in play) reads the committed files.
-	s2, err := Open(s.Dir(), ReadOnly, "")
+	fresh, err := Open(s.Dir(), ReadOnly, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s2.Load(Key("wb", "7"), &got) || got.Vals[0] != 7 {
-		t.Fatalf("committed entry unreadable from disk: %+v", got)
+	var got payload
+	if !fresh.Load(key, &got) || len(got.Vals) != 64 {
+		t.Fatalf("entry unreadable or incomplete: %+v", got)
 	}
-}
-
-// Close drains the queue and returns the store to direct writes.
-func TestWriteBehindCloseDrains(t *testing.T) {
-	s := openRW(t)
-	s.EnableWriteBehind()
-	key := Key("wb", "close")
-	if err := s.Save(key, payload{Name: "queued"}); err != nil {
-		t.Fatal(err)
+	for _, v := range got.Vals {
+		if fmt.Sprint(v) != got.Name {
+			t.Fatalf("torn entry: name %s carries value %d", got.Name, v)
+		}
 	}
-	s.Close()
-	s.Close() // idempotent
-	if _, err := os.Stat(s.path(key)); err != nil {
-		t.Fatalf("Close did not drain the queue: %v", err)
-	}
-	// Post-Close Saves are write-through again.
-	key2 := Key("wb", "direct")
-	if err := s.Save(key2, payload{Name: "direct"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(s.path(key2)); err != nil {
-		t.Fatalf("post-Close Save not written through: %v", err)
-	}
-	var nilStore *Store
-	nilStore.Flush() // nil-safe
-	nilStore.Close()
 }
 
 func TestEnsureWritable(t *testing.T) {
