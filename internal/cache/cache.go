@@ -305,6 +305,16 @@ func (c *Cache) touch(s, w int) {
 	}
 }
 
+// touchN is n consecutive touches of way w in set s: under LRU the
+// clock advances by n and the way takes the last stamp, exactly as n
+// touch calls would leave them.
+func (c *Cache) touchN(s, w, n int) {
+	if c.cfg.Policy == LRU {
+		c.clock += uint64(n)
+		c.set(s)[w].stamp = c.clock
+	}
+}
+
 // victim picks the way to evict in set s. Pinned lines are never chosen;
 // if every way is pinned, victim returns -1 (the fill is dropped, which
 // models PLcache's "no free way" behaviour).

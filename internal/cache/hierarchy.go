@@ -325,14 +325,13 @@ func lineGroup(addr, la memp.Addr, stride int64, rem int) int {
 // remaining accesses.
 //
 // Consecutive accesses that stay on one cache line are charged from a
-// single tag probe: the stats are additive, one LRU touch leaves the
-// same relative stamp order as g consecutive touches of the same way
-// (so victim selection cannot diverge), the dirty edge fires on the
-// group's first write, and the snooped event stream is re-emitted
-// access by access. A miss consumes only its own access — the rest of
-// its line group re-probes next iteration (the fill can be dropped by
-// a pinned-full set), which keeps the event and cycle sequence
-// bit-identical to the scalar loop.
+// single tag probe: the stats are additive, one LRU touch advancing the
+// clock by g leaves exactly the stamps g consecutive touches of the
+// same way would, the dirty edge fires on the group's first write, and
+// the snooped event stream is re-emitted access by access. A miss
+// consumes only its own access — the rest of its line group re-probes
+// next iteration (the fill can be dropped by a pinned-full set), which
+// keeps the event and cycle sequence bit-identical to the scalar loop.
 func (h *Hierarchy) AccessBatch(base memp.Addr, stride int64, n int, flags Flags) (l1Hits, missCycles int) {
 	c := h.levels[0]
 	write := flags&FlagWrite != 0
@@ -362,7 +361,7 @@ func (h *Hierarchy) AccessBatch(base memp.Addr, stride int64, n int, flags Flags
 		ln := &c.set(s)[w]
 		c.Stats.Hits += uint64(g)
 		if !noLRU {
-			c.touch(s, w)
+			c.touchN(s, w, g)
 		}
 		if snoop {
 			for j := 0; j < g; j++ {
@@ -451,7 +450,7 @@ func (h *Hierarchy) AccessBatchRMW(base memp.Addr, stride int64, n int, flags Fl
 		ln := &c.set(s)[w]
 		c.Stats.Hits += uint64(2 * g)
 		if !noLRU {
-			c.touch(s, w)
+			c.touchN(s, w, 2*g)
 		}
 		if snoop {
 			for j := 0; j < g; j++ {

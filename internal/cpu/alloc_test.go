@@ -39,6 +39,21 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "Hier.Access(write)", testing.AllocsPerRun(5000, func() { m.Hier.Access(addr(), cache.FlagWrite) }))
 }
 
+// TestSweepZeroAllocs holds the sweep primitives to the same budget on
+// a warm machine with no recorder, on both the batched path and the
+// per-access fallback an uncached sweep takes.
+func TestSweepZeroAllocs(t *testing.T) {
+	m := New(func() Config { c := DefaultConfig(); c.BIALevel = 1; return c }())
+	var i uint64
+	base := func() memp.Addr { i++; return memp.Addr(i*64*64) % accessSpan }
+	const mode = ModeNoLRU | ModeStreaming
+	m.SweepLoad(0, 64, 64, 6, W64, mode)
+	m.SweepRMW(0, 64, 64, 7, W64, mode)
+	assertZeroAllocs(t, "SweepLoad", testing.AllocsPerRun(2000, func() { m.SweepLoad(base(), 64, 64, 6, W64, mode) }))
+	assertZeroAllocs(t, "SweepRMW", testing.AllocsPerRun(2000, func() { m.SweepRMW(base(), 64, 64, 7, W64, mode) }))
+	assertZeroAllocs(t, "SweepLoad(uncached)", testing.AllocsPerRun(2000, func() { m.SweepLoad(base(), 64, 64, 6, W64, mode|ModeUncached) }))
+}
+
 func TestMachineResetZeroAllocs(t *testing.T) {
 	m := NewDefault()
 	// Warm the machine so Reset has real state to shed.
@@ -67,5 +82,25 @@ func BenchmarkAccessAllocs(b *testing.B) {
 	b.StopTimer()
 	if allocs := testing.AllocsPerRun(2000, func() { i++; m.Load64(memp.Addr(i*64) % accessSpan) }); allocs != 0 {
 		b.Fatalf("access path allocates: %.1f allocs/op, budget is 0", allocs)
+	}
+}
+
+// BenchmarkSweepAllocs measures and enforces the batched sweep path: a
+// 64-line load sweep and a 64-pair RMW sweep per op, 0 allocs/op.
+func BenchmarkSweepAllocs(b *testing.B) {
+	m := New(func() Config { c := DefaultConfig(); c.BIALevel = 1; return c }())
+	const mode = ModeNoLRU | ModeStreaming
+	b.ReportAllocs()
+	b.ResetTimer()
+	var i uint64
+	for n := 0; n < b.N; n++ {
+		i++
+		base := memp.Addr(i*64*64) % accessSpan
+		m.SweepLoad(base, 64, 64, 6, W64, mode)
+		m.SweepRMW(base, 64, 64, 7, W64, mode)
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(200, func() { i++; m.SweepRMW(memp.Addr(i*64*64)%accessSpan, 64, 64, 7, W64, mode) }); allocs != 0 {
+		b.Fatalf("sweep path allocates: %.1f allocs/op, budget is 0", allocs)
 	}
 }

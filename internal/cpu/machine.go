@@ -307,6 +307,11 @@ func (m *Machine) Op(n int) {
 	if m.rec != nil && n > 0 {
 		m.rec.Op(n)
 	}
+	m.op(n)
+}
+
+// op charges n dependent ALU instructions without recording them.
+func (m *Machine) op(n int) {
 	m.retire(n)
 	m.C.Cycles += uint64(n)
 }
@@ -331,6 +336,11 @@ func (m *Machine) OpStream(n int) {
 	if m.rec != nil && n > 0 {
 		m.rec.OpStream(n)
 	}
+	m.opStream(n)
+}
+
+// opStream charges n streaming ALU instructions without recording them.
+func (m *Machine) opStream(n int) {
 	m.retire(n)
 	// opSlop is non-negative, so / and % of the power-of-two issue
 	// width reduce to shift and mask (this runs once per sweep line).
@@ -339,15 +349,21 @@ func (m *Machine) OpStream(n int) {
 	m.opSlop &= streamIssueWidth - 1
 }
 
-// access runs one data access and charges its latency. Streaming
-// accesses that hit the first level probed are charged at the L1's
-// dual-port throughput (two per cycle) instead of their latency —
-// out-of-order execution fully pipelines a linearization sweep; misses
-// always pay their full latency.
+// access runs one data access, recording it when a recorder is
+// attached, and charges its latency (see charge).
 func (m *Machine) access(addr memp.Addr, flags cache.Flags) cache.Result {
 	if m.rec != nil {
 		m.rec.Access(uint64(addr), uint32(flags))
 	}
+	return m.charge(addr, flags)
+}
+
+// charge runs one data access without recording it. Streaming
+// accesses that hit the first level probed are charged at the L1's
+// dual-port throughput (two per cycle) instead of their latency —
+// out-of-order execution fully pipelines a linearization sweep; misses
+// always pay their full latency.
+func (m *Machine) charge(addr memp.Addr, flags cache.Flags) cache.Result {
 	m.retire(1)
 	start := 1
 	if flags&flagBypassToBIA != 0 {

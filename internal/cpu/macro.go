@@ -22,6 +22,10 @@ import (
 // at streaming width without instruction-fetch cost, which is the
 // architectural point of macro-fusion.
 
+// macroFetchMode is the micro-coded fetch loops' access mode, that of
+// Alg. 2/3's follow-up DS accesses.
+const macroFetchMode = ModeNoLRU | ModeBypassToBIA | ModeStreaming
+
 // MacroCTLoad performs Algorithm 2 for one page span: addr is the
 // (secret) target address, pageBase the span's page, bitmask the DS
 // Bitmask of the page. It returns the loaded value at addr's offset if
@@ -51,19 +55,16 @@ func (m *Machine) MacroCTLoad(pageBase, addr memp.Addr, bitmask uint64, w Width)
 	}
 	m.C.Cycles += uint64(cyc)
 	if hit {
-		data = m.readW(addrToRead, w)
+		data = m.ReadW(addrToRead, w)
 	}
 	tofetch := bitmask &^ existence
 	m.NoteDSSpan(bits.OnesCount64(bitmask)-bits.OnesCount64(tofetch), bits.OnesCount64(bitmask))
 	// Micro-coded fetch loop: memory traffic identical to Alg. 2
-	// lines 8-11; sequencing cost folded into the streaming model.
-	for tf := tofetch; tf != 0; tf &= tf - 1 {
-		slot := uint(bits.TrailingZeros64(tf))
-		a := memp.GenAddr(pageBase, slot, addr)
-		tmp := m.LoadModeW(a, w, ModeNoLRU|ModeBypassToBIA|ModeStreaming)
-		if a == addrToRead {
-			data = tmp
-		}
+	// lines 8-11; sequencing cost folded into the streaming model. The
+	// fetched word at addr_to_read supersedes the probe's.
+	m.SweepSlots(pageBase.Page(), tofetch, addr, 0, w, macroFetchMode, false)
+	if tofetch>>addrToRead.LineInPage()&1 != 0 {
+		data = m.ReadW(addrToRead, w)
 	}
 	return data, memp.SamePage(addr, pageBase)
 }
@@ -93,7 +94,7 @@ func (m *Machine) MacroCTStore(pageBase, addr memp.Addr, bitmask uint64, v uint6
 	m.C.Cycles += uint64(cycLd)
 	var ldData uint64
 	if hitLd {
-		ldData = m.readW(addrToWrite, w)
+		ldData = m.ReadW(addrToWrite, w)
 	}
 	stTmp := ldData
 	if memp.SamePage(addr, pageBase) {
@@ -109,19 +110,16 @@ func (m *Machine) MacroCTStore(pageBase, addr memp.Addr, bitmask uint64, v uint6
 	}
 	m.C.Cycles += uint64(cycSt)
 	if wrote {
-		m.writeW(addrToWrite, stTmp, w)
+		m.WriteW(addrToWrite, stTmp, w)
 	}
 
 	// Micro-coded RMW loop (Alg. 3 lines 12-15).
 	tofetch := bitmask &^ dirtiness
 	m.NoteDSSpan(bits.OnesCount64(bitmask)-bits.OnesCount64(tofetch), bits.OnesCount64(bitmask))
-	for tf := tofetch; tf != 0; tf &= tf - 1 {
-		slot := uint(bits.TrailingZeros64(tf))
-		a := memp.GenAddr(pageBase, slot, addr)
-		tmp := m.LoadModeW(a, w, ModeNoLRU|ModeBypassToBIA|ModeStreaming)
-		if a == addr {
-			tmp = v
-		}
-		m.StoreModeW(a, tmp, w, ModeNoLRU|ModeBypassToBIA|ModeStreaming)
+	// Only the target's word changes; the other write-backs store the
+	// value just read.
+	m.SweepSlots(pageBase.Page(), tofetch, addr, 0, w, macroFetchMode, true)
+	if memp.SamePage(addr, pageBase) && tofetch>>addr.LineInPage()&1 != 0 {
+		m.WriteW(addr, v, w)
 	}
 }

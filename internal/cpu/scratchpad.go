@@ -85,7 +85,7 @@ func (m *Machine) ScratchLoad(sp *Scratchpad, addr memp.Addr, w Width) uint64 {
 	m.retire(1)
 	m.C.Loads++
 	m.C.Cycles += uint64(sp.latency)
-	return m.readW(addr, w)
+	return m.ReadW(addr, w)
 }
 
 // ScratchStore writes width w at addr in the scratchpad.
@@ -100,5 +100,5 @@ func (m *Machine) ScratchStore(sp *Scratchpad, addr memp.Addr, v uint64, w Width
 	m.retire(1)
 	m.C.Stores++
 	m.C.Cycles += uint64(sp.latency)
-	m.writeW(addr, v, w)
+	m.WriteW(addr, v, w)
 }

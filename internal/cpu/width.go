@@ -31,7 +31,10 @@ func (w Width) check() {
 	}
 }
 
-func (m *Machine) readW(addr memp.Addr, w Width) uint64 {
+// ReadW returns the w-wide word at addr without charging or recording
+// anything: pure data movement, for callers that charged the access
+// separately (a sweep's cmov-selected target word, see SweepLoad).
+func (m *Machine) ReadW(addr memp.Addr, w Width) uint64 {
 	switch w {
 	case W8:
 		return uint64(m.Mem.Read8(addr))
@@ -44,7 +47,9 @@ func (m *Machine) readW(addr memp.Addr, w Width) uint64 {
 	}
 }
 
-func (m *Machine) writeW(addr memp.Addr, v uint64, w Width) {
+// WriteW stores the w-wide word v at addr without charging or
+// recording anything (the blended target write of SweepRMW).
+func (m *Machine) WriteW(addr memp.Addr, v uint64, w Width) {
 	switch w {
 	case W8:
 		m.Mem.Write8(addr, byte(v))
@@ -61,14 +66,14 @@ func (m *Machine) writeW(addr memp.Addr, v uint64, w Width) {
 func (m *Machine) LoadW(addr memp.Addr, w Width) uint64 {
 	w.check()
 	m.access(addr, 0)
-	return m.readW(addr, w)
+	return m.ReadW(addr, w)
 }
 
 // StoreW performs a normal store of the given width.
 func (m *Machine) StoreW(addr memp.Addr, v uint64, w Width) {
 	w.check()
 	m.access(addr, m.modeFlags(0)|writeFlag)
-	m.writeW(addr, v, w)
+	m.WriteW(addr, v, w)
 }
 
 // LoadModeW is LoadW with access-mode control (the protected runtime's
@@ -76,14 +81,14 @@ func (m *Machine) StoreW(addr memp.Addr, v uint64, w Width) {
 func (m *Machine) LoadModeW(addr memp.Addr, w Width, mode AccessMode) uint64 {
 	w.check()
 	m.access(addr, m.modeFlags(mode))
-	return m.readW(addr, w)
+	return m.ReadW(addr, w)
 }
 
 // StoreModeW is StoreW with access-mode control.
 func (m *Machine) StoreModeW(addr memp.Addr, v uint64, w Width, mode AccessMode) {
 	w.check()
 	m.access(addr, m.modeFlags(mode)|writeFlag)
-	m.writeW(addr, v, w)
+	m.WriteW(addr, v, w)
 }
 
 // CTLoadW is CTLoad64 at the given data width.
@@ -105,7 +110,7 @@ func (m *Machine) CTLoadW(addr memp.Addr, w Width) (data uint64, existence uint6
 	}
 	m.C.Cycles += uint64(cyc)
 	if hit {
-		data = m.readW(addr, w)
+		data = m.ReadW(addr, w)
 	}
 	return data, existence
 }
@@ -129,7 +134,7 @@ func (m *Machine) CTStoreW(addr memp.Addr, v uint64, w Width) (dirtiness uint64)
 	}
 	m.C.Cycles += uint64(cyc)
 	if wrote {
-		m.writeW(addr, v, w)
+		m.WriteW(addr, v, w)
 	}
 	return dirtiness
 }

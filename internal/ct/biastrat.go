@@ -74,6 +74,24 @@ func geom(m *cpu.Machine) (shift int, offMask memp.Addr) {
 	return shift, memp.Addr(1)<<uint(shift) - 1
 }
 
+// fetch runs Alg. 2/3's fetch loop over the set slots of tofetch in the
+// chunk at base, each access at the target's offset within its line and
+// preceded by pre streaming ops; read-modify-write pairs when rmw. Past
+// Threshold the lines are fetched uncached (Sec. 6.5).
+func (s BIA) fetch(m *cpu.Machine, base memp.Addr, tofetch uint64, target memp.Addr, pre int, w cpu.Width, rmw bool) {
+	mode := cpu.AccessMode(fetchMode)
+	if s.Threshold > 0 && bits.OnesCount64(tofetch) > s.Threshold {
+		mode |= cpu.ModeUncached
+	}
+	m.SweepSlots(base, tofetch, target, pre, w, mode, rmw)
+}
+
+// fetched reports whether the fetch loop of the chunk holding addr
+// touched addr's line, i.e. its slot is set in tofetch.
+func fetched(tofetch uint64, addr, offMask memp.Addr) bool {
+	return tofetch>>uint((addr&offMask)>>memp.LineShift)&1 != 0
+}
+
 // Load implements Strategy with the paper's Algorithm 2.
 func (s BIA) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w cpu.Width) uint64 {
 	ds.mustContain(addr)
@@ -90,25 +108,16 @@ func (s BIA) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w cpu.Width) uint6
 		tofetch := span.Mask &^ existence
 		m.NoteDSSpan(bits.OnesCount64(span.Mask)-bits.OnesCount64(tofetch), bits.OnesCount64(span.Mask))
 		s.hook(HookBeforeFetch, span.Base)
-		uncached := s.Threshold > 0 && bits.OnesCount64(tofetch) > s.Threshold
 		// Lines 8-11: fetch the lines the cache does not hold.
-		for tf := tofetch; tf != 0; tf &= tf - 1 {
-			slot := uint(bits.TrailingZeros64(tf))
-			a := memp.GenAddrAt(span.Base, slot, addr)
-			m.OpStream(opsFetchIter)
-			var tmp uint64
-			if uncached {
-				tmp = m.LoadModeW(a, w, fetchMode|cpu.ModeUncached)
-			} else {
-				tmp = m.LoadModeW(a, w, fetchMode)
-			}
-			if a == addrToRead { // line 11 cmov
-				data = tmp
-			}
-		}
-		// Line 12: keep this span's data iff the target is here.
+		s.fetch(m, span.Base, tofetch, addr, opsFetchIter, w, false)
+		// Line 12: keep this span's data iff the target is here — the
+		// fetched word when line 11's cmov took it (addr_to_read is
+		// addr itself in the target's span), else CTLoad's.
 		m.Op(opsSelect)
 		if addr&^offMask == span.Base {
+			if fetched(tofetch, addr, offMask) {
+				data = m.ReadW(addr, w)
+			}
 			ret = data
 		}
 	}
@@ -144,22 +153,12 @@ func (s BIA) Store(m *cpu.Machine, ds *LinSet, addr memp.Addr, v uint64, w cpu.W
 		tofetch := span.Mask &^ dirtiness
 		m.NoteDSSpan(bits.OnesCount64(span.Mask)-bits.OnesCount64(tofetch), bits.OnesCount64(span.Mask))
 		s.hook(HookBeforeFetch, span.Base)
-		uncached := s.Threshold > 0 && bits.OnesCount64(tofetch) > s.Threshold
 		// Lines 12-15: read-modify-write every non-dirty DS line of
-		// the page, blending the new value in at the target.
-		for tf := tofetch; tf != 0; tf &= tf - 1 {
-			slot := uint(bits.TrailingZeros64(tf))
-			a := memp.GenAddrAt(span.Base, slot, addr)
-			m.OpStream(opsFetchStoreIter)
-			mode := cpu.AccessMode(fetchMode)
-			if uncached {
-				mode |= cpu.ModeUncached
-			}
-			tmp := m.LoadModeW(a, w, mode)
-			if a == addr { // line 14 cmov
-				tmp = v
-			}
-			m.StoreModeW(a, tmp, w, mode)
+		// the page, blending the new value in at the target (line 14's
+		// cmov); every other write-back stores the value just read.
+		s.fetch(m, span.Base, tofetch, addr, opsFetchStoreIter, w, true)
+		if addr&^offMask == span.Base && fetched(tofetch, addr, offMask) {
+			m.WriteW(addr, v, w)
 		}
 	}
 }
@@ -179,17 +178,7 @@ func (s BIA) LoadBlock(m *cpu.Machine, ds *LinSet, blockAddr memp.Addr, nLines i
 		tofetch := span.Mask &^ existence
 		m.NoteDSSpan(bits.OnesCount64(span.Mask)-bits.OnesCount64(tofetch), bits.OnesCount64(span.Mask))
 		s.hook(HookBeforeFetch, span.Base)
-		uncached := s.Threshold > 0 && bits.OnesCount64(tofetch) > s.Threshold
-		for tf := tofetch; tf != 0; tf &= tf - 1 {
-			slot := uint(bits.TrailingZeros64(tf))
-			a := memp.GenAddrAt(span.Base, slot, blockAddr)
-			m.OpStream(opsFetchIter)
-			if uncached {
-				m.LoadModeW(a, cpu.W64, fetchMode|cpu.ModeUncached)
-			} else {
-				m.LoadModeW(a, cpu.W64, fetchMode)
-			}
-		}
+		s.fetch(m, span.Base, tofetch, blockAddr, opsFetchIter, cpu.W64, false)
 		// Oblivious extraction of the block lines overlapping this
 		// span (wide blends; no extra memory traffic — the lines were
 		// just probed or fetched).

@@ -36,8 +36,16 @@ func (p PageSpan) Lines() int { return bits.OnesCount64(p.Mask) }
 type LinSet struct {
 	name    string
 	lines   []memp.Addr // line-aligned, ascending, unique
+	runs    []lineRun   // maximal contiguous runs of lines, ascending
 	pages   []PageSpan  // ascending by base
 	spansAt map[int][]PageSpan
+}
+
+// lineRun is a maximal run of consecutive DS lines: the unit one
+// linearization sweep charges in a single Machine.SweepLoad/SweepRMW.
+type lineRun struct {
+	base memp.Addr
+	n    int
 }
 
 // NewContiguous builds the common case: the DS of an access into a
@@ -74,15 +82,21 @@ func FromLines(name string, lines []memp.Addr) *LinSet {
 	}
 	sort.Slice(norm, func(i, j int) bool { return norm[i] < norm[j] })
 
+	var runs []lineRun
 	var pages []PageSpan
 	for _, la := range norm {
+		if k := len(runs) - 1; k >= 0 && runs[k].base+memp.Addr(runs[k].n*memp.LineSize) == la {
+			runs[k].n++
+		} else {
+			runs = append(runs, lineRun{base: la, n: 1})
+		}
 		pb := la.Page()
 		if len(pages) == 0 || pages[len(pages)-1].Base != pb {
 			pages = append(pages, PageSpan{Base: pb})
 		}
 		pages[len(pages)-1].Mask |= uint64(1) << la.LineInPage()
 	}
-	return &LinSet{name: name, lines: norm, pages: pages}
+	return &LinSet{name: name, lines: norm, runs: runs, pages: pages}
 }
 
 // FromRegion builds the DS covering an allocator region.

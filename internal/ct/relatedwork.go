@@ -33,9 +33,8 @@ func (Preload) Name() string { return "preload" }
 func (Preload) NeedsBIA() bool { return false }
 
 func (s Preload) preload(m *cpu.Machine, ds *LinSet) {
-	for _, la := range ds.Lines() {
-		m.OpStream(2)
-		m.LoadModeW(la, cpu.W64, cpu.ModeStreaming)
+	for _, r := range ds.runs {
+		m.SweepLoad(r.base, memp.LineSize, r.n, 2, cpu.W64, cpu.ModeStreaming)
 	}
 	if s.Hook != nil {
 		s.Hook(HookBeforeFetch, 0)
@@ -65,10 +64,7 @@ func (s Preload) Store(m *cpu.Machine, ds *LinSet, addr memp.Addr, v uint64, w c
 func (s Preload) LoadBlock(m *cpu.Machine, ds *LinSet, blockAddr memp.Addr, nLines int) []byte {
 	checkBlock(m, ds, blockAddr, nLines)
 	s.preload(m, ds)
-	for i := 0; i < nLines*memp.LineSize/4; i++ {
-		m.OpStream(opsDirect)
-		m.LoadModeW(blockAddr+memp.Addr(4*i), cpu.W32, cpu.ModeStreaming)
-	}
+	m.SweepLoad(blockAddr, 4, nLines*memp.LineSize/4, opsDirect, cpu.W32, cpu.ModeStreaming)
 	return readBlock(m, blockAddr, nLines)
 }
 

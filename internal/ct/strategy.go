@@ -106,38 +106,34 @@ func (Linear) Name() string { return "ct" }
 // NeedsBIA implements Strategy.
 func (Linear) NeedsBIA() bool { return false }
 
-// Load implements Strategy.
+// sweepMode is how the linearization sweeps touch the DS: no LRU
+// update (secret-relevant) and pipelined as an independent loop.
+const sweepMode = cpu.ModeNoLRU | cpu.ModeStreaming
+
+// Load implements Strategy: one sweep per contiguous run of DS lines,
+// each iteration loading the line at the target's line offset. The
+// loop's cmov keeps only the target's word, so that word is the one
+// read.
 func (Linear) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w cpu.Width) uint64 {
 	ds.mustContain(addr)
 	off := memp.Addr(addr.Offset())
-	var ret uint64
-	for _, la := range ds.Lines() {
-		a := la + off
-		m.OpStream(opsLinearIter)
-		v := m.LoadModeW(a, w, cpu.ModeNoLRU|cpu.ModeStreaming)
-		if a == addr { // constant-time select, cost in opsLinearIter
-			ret = v
-		}
+	for _, r := range ds.runs {
+		m.SweepLoad(r.base+off, memp.LineSize, r.n, opsLinearIter, w, sweepMode)
 	}
-	return ret
+	return m.ReadW(addr, w)
 }
 
 // Store implements Strategy: every DS line is read and written back,
 // with the new value blended in at the target only, so every line ends
-// up dirty regardless of the secret.
+// up dirty regardless of the secret. Write-backs of unchanged values
+// move no data; only the target's word is written.
 func (Linear) Store(m *cpu.Machine, ds *LinSet, addr memp.Addr, v uint64, w cpu.Width) {
 	ds.mustContain(addr)
 	off := memp.Addr(addr.Offset())
-	for _, la := range ds.Lines() {
-		a := la + off
-		m.OpStream(opsLinearStoreIter)
-		old := m.LoadModeW(a, w, cpu.ModeNoLRU|cpu.ModeStreaming)
-		nv := old
-		if a == addr {
-			nv = v
-		}
-		m.StoreModeW(a, nv, w, cpu.ModeNoLRU|cpu.ModeStreaming)
+	for _, r := range ds.runs {
+		m.SweepRMW(r.base+off, memp.LineSize, r.n, opsLinearStoreIter, w, sweepMode)
 	}
+	m.WriteW(addr, v, w)
 }
 
 // LinearVec is the AVX2-accelerated linearization the paper's
@@ -153,41 +149,32 @@ func (LinearVec) Name() string { return "ct-avx" }
 // NeedsBIA implements Strategy.
 func (LinearVec) NeedsBIA() bool { return false }
 
-// Load implements Strategy.
+// vecBundles is how many 4-line vector bundles a vectorized sweep over
+// ds issues.
+func vecBundles(ds *LinSet) int { return (ds.NumLines() + 3) / 4 }
+
+// Load implements Strategy: Linear's sweep with the per-line work
+// issued as one vector bundle per 4 lines, charged up front (ALU
+// charging is additive, so the bundles need not interleave the loads).
 func (LinearVec) Load(m *cpu.Machine, ds *LinSet, addr memp.Addr, w cpu.Width) uint64 {
 	ds.mustContain(addr)
 	off := memp.Addr(addr.Offset())
-	var ret uint64
-	lines := ds.Lines()
-	for i, la := range lines {
-		a := la + off
-		if i%4 == 0 { // one vector bundle per 4 lines
-			m.OpStream(4 * opsVecIterPerLine)
-		}
-		v := m.LoadModeW(a, w, cpu.ModeNoLRU|cpu.ModeStreaming)
-		if a == addr {
-			ret = v
-		}
+	m.OpStream(vecBundles(ds) * 4 * opsVecIterPerLine)
+	for _, r := range ds.runs {
+		m.SweepLoad(r.base+off, memp.LineSize, r.n, 0, w, sweepMode)
 	}
-	return ret
+	return m.ReadW(addr, w)
 }
 
 // Store implements Strategy.
 func (LinearVec) Store(m *cpu.Machine, ds *LinSet, addr memp.Addr, v uint64, w cpu.Width) {
 	ds.mustContain(addr)
 	off := memp.Addr(addr.Offset())
-	for i, la := range ds.Lines() {
-		a := la + off
-		if i%4 == 0 {
-			m.OpStream(4*opsVecIterPerLine + 2) // gather + blend + scatter bundle
-		}
-		old := m.LoadModeW(a, w, cpu.ModeNoLRU|cpu.ModeStreaming)
-		nv := old
-		if a == addr {
-			nv = v
-		}
-		m.StoreModeW(a, nv, w, cpu.ModeNoLRU|cpu.ModeStreaming)
+	m.OpStream(vecBundles(ds) * (4*opsVecIterPerLine + 2)) // gather + blend + scatter bundles
+	for _, r := range ds.runs {
+		m.SweepRMW(r.base+off, memp.LineSize, r.n, 0, w, sweepMode)
 	}
+	m.WriteW(addr, v, w)
 }
 
 // checkBlock validates LoadBlock arguments: line alignment and full DS
@@ -217,10 +204,7 @@ func readBlock(m *cpu.Machine, blockAddr memp.Addr, nLines int) []byte {
 // row-scan loop).
 func (Direct) LoadBlock(m *cpu.Machine, ds *LinSet, blockAddr memp.Addr, nLines int) []byte {
 	checkBlock(m, ds, blockAddr, nLines)
-	for i := 0; i < nLines*memp.LineSize/4; i++ {
-		m.OpStream(opsDirect)
-		m.LoadModeW(blockAddr+memp.Addr(4*i), cpu.W32, cpu.ModeStreaming)
-	}
+	m.SweepLoad(blockAddr, 4, nLines*memp.LineSize/4, opsDirect, cpu.W32, cpu.ModeStreaming)
 	return readBlock(m, blockAddr, nLines)
 }
 
@@ -228,9 +212,8 @@ func (Direct) LoadBlock(m *cpu.Machine, ds *LinSet, blockAddr memp.Addr, nLines 
 // with a wide blend capturing the lines that belong to the block.
 func (Linear) LoadBlock(m *cpu.Machine, ds *LinSet, blockAddr memp.Addr, nLines int) []byte {
 	checkBlock(m, ds, blockAddr, nLines)
-	for _, la := range ds.Lines() {
-		m.OpStream(opsBlockIter)
-		m.LoadModeW(la, cpu.W64, cpu.ModeNoLRU|cpu.ModeStreaming)
+	for _, r := range ds.runs {
+		m.SweepLoad(r.base, memp.LineSize, r.n, opsBlockIter, cpu.W64, sweepMode)
 	}
 	return readBlock(m, blockAddr, nLines)
 }
@@ -238,11 +221,9 @@ func (Linear) LoadBlock(m *cpu.Machine, ds *LinSet, blockAddr memp.Addr, nLines 
 // LoadBlock implements Strategy: the vectorized sweep.
 func (LinearVec) LoadBlock(m *cpu.Machine, ds *LinSet, blockAddr memp.Addr, nLines int) []byte {
 	checkBlock(m, ds, blockAddr, nLines)
-	for i, la := range ds.Lines() {
-		if i%4 == 0 {
-			m.OpStream(4 * opsBlockVecIter)
-		}
-		m.LoadModeW(la, cpu.W64, cpu.ModeNoLRU|cpu.ModeStreaming)
+	m.OpStream(vecBundles(ds) * 4 * opsBlockVecIter)
+	for _, r := range ds.runs {
+		m.SweepLoad(r.base, memp.LineSize, r.n, 0, cpu.W64, sweepMode)
 	}
 	return readBlock(m, blockAddr, nLines)
 }

@@ -282,10 +282,6 @@ func (r *Recorder) Access(addr uint64, flags uint32) {
 		}
 	}
 
-	if pre != PreNone {
-		r.collapseBundle(addr, pre)
-	}
-
 	if n := len(r.ops); n > 0 {
 		t := &r.ops[n-1]
 		// A store at the address the previous record just loaded, with
@@ -331,65 +327,51 @@ func (r *Recorder) Access(addr uint64, flags uint32) {
 	r.push(Op{Kind: KAccess, Addr: addr, Arg: 1, Flags: flags, Pre: pre, PreN: preN})
 }
 
-// collapseBundle fuses periodic-pre sweeps. The vectorized strategies
-// attach one ALU bundle to the first access of every group of g
-// equal-stride accesses (one OpStream per vector of lines), which
-// defeats plain run fusion: the pre-carrying head never matches the
-// pre-less tail, leaving ~2 records per group. When the next group's
-// head arrives — proving the previous group complete as
-// [head(pre=p), run of g-1 without pre] — the head's p ops are hoisted
-// out into a standalone accumulated ALU record and the group becomes
-// one pre-less run, both merged into the [ALU total, run] pair before
-// them when contiguous, so a whole sweep settles into two records. The
-// rewrite is machine-state exact: ALU charging (Op/OpStream) is a pure
-// accumulator with no coupling to access charging, and cache events
-// carry no timestamps, so moving the same op total across a stream's
-// accesses replays identically — and every replay is still verified
-// against the recorded report.
-func (r *Recorder) collapseBundle(addr uint64, pre uint8) {
-	n := len(r.ops)
-	if n < 2 {
+// Run records a whole strided sweep at once: n accesses at addr,
+// addr+stride, ..., each preceded by preN pre-ops of class pre (n
+// load+store pairs when rmw). It counts the same events as the per-
+// iteration Op/Access calls it stands for, so RequireCompression judges
+// the same stream, and it extends the record before it when the sweep
+// continues that record's run, as Access would.
+func (r *Recorder) Run(addr uint64, stride int64, n int, flags uint32, rmw bool, pre uint8, preN int) {
+	if r.aborted || n <= 0 {
 		return
 	}
-	u, t := &r.ops[n-2], &r.ops[n-1]
-	if u.Pre != pre || u.PreN == 0 || t.Pre != PreNone || u.Flags != t.Flags {
+	per := 1 + uint64(preN)
+	if rmw {
+		per++
+	}
+	r.events += uint64(n) * per
+	if preN > 0xffff {
+		r.Abort() // the per-iteration count does not fit the encoding
 		return
 	}
-	// The completed group is either a plain-access bundle (single head +
-	// run tail) or an RMW bundle (single RMW head + RMW-run tail).
-	var kind Kind
-	switch {
-	case u.Kind == KAccess && t.Kind == KRun:
-		kind = KRun
-	case u.Kind == KRMW && u.Arg == 1 && t.Kind == KRMW:
-		kind = KRMW
-	default:
-		return
+	r.flushPend()
+	kind, single := KRun, KAccess
+	if rmw {
+		kind, single = KRMW, KRMW
 	}
-	s := int64(t.Addr - u.Addr)
-	if t.Arg > 1 && t.Stride != s {
-		return
-	}
-	if addr != t.Addr+uint64(s)*t.Arg {
-		return
-	}
-	alu := Op{Kind: KOps, Arg: uint64(u.PreN)}
-	if pre == PreStream {
-		alu.Kind = KOpStream
-	}
-	run := Op{Kind: kind, Addr: u.Addr, Arg: t.Arg + 1, Stride: s, Flags: u.Flags}
-	r.ops = r.ops[:n-2]
-	if m := len(r.ops); m >= 2 {
-		a, v := &r.ops[m-2], &r.ops[m-1]
-		if a.Kind == alu.Kind && v.Kind == run.Kind && v.Flags == run.Flags &&
-			v.Pre == PreNone && v.Stride == run.Stride &&
-			v.Addr+uint64(v.Stride)*v.Arg == run.Addr {
-			a.Arg += alu.Arg
-			v.Arg += run.Arg
-			return
+	if m := len(r.ops); m > 0 {
+		t := &r.ops[m-1]
+		if (t.Kind == kind || t.Kind == single) && t.Flags == flags && t.Pre == pre && t.PreN == uint16(preN) {
+			if t.Kind == single && t.Arg == 1 {
+				// A lone access (or pair) opens a run at whatever stride
+				// reaches this sweep.
+				if s := int64(addr - t.Addr); n == 1 || s == stride {
+					t.Kind, t.Stride, t.Arg = kind, s, 1+uint64(n)
+					return
+				}
+			} else if t.Addr+uint64(t.Stride)*t.Arg == addr && (n == 1 || t.Stride == stride) {
+				t.Arg += uint64(n)
+				return
+			}
 		}
 	}
-	r.ops = append(r.ops, alu, run)
+	if n == 1 {
+		r.push(Op{Kind: single, Addr: addr, Arg: 1, Flags: flags, Pre: pre, PreN: uint16(preN)})
+		return
+	}
+	r.push(Op{Kind: kind, Addr: addr, Arg: uint64(n), Stride: stride, Flags: flags, Pre: pre, PreN: uint16(preN)})
 }
 
 // single flushes pending ops and appends a non-mergeable record.

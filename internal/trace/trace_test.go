@@ -312,101 +312,116 @@ func TestDecodeRejectsV1(t *testing.T) {
 	}
 }
 
-// TestBundleCollapseVec pins the periodic-pre fusion: the vectorized
-// sweeps attach one OpStream bundle to the first access of every group
-// of 4 lines, and whole sweeps must settle into an accumulated ALU
-// record plus one run, not ~2 records per group.
-func TestBundleCollapseVec(t *testing.T) {
-	const lines, bundle = 64, 14 // 14 = 4*3+2: indivisible by the group on purpose
-	r := NewRecorder(0)
-	for i := 0; i < lines; i++ {
-		if i%4 == 0 {
-			r.OpStream(bundle)
-		}
-		r.Access(uint64(i*64), 0)
-	}
-	tr, ok := r.Take()
-	if !ok {
-		t.Fatal("recorder reported abort")
-	}
-	// Steady state: [KOpStream total, KRun big, last-group head, tail run].
-	if len(tr.Ops) > 4 {
-		t.Fatalf("vector sweep compressed to %d records, want <=4: %+v", len(tr.Ops), tr.Ops)
-	}
-	var ops, accesses uint64
-	for _, op := range tr.Ops {
+// vecSweep records one vectorized sweep the way the strategies issue
+// it: the whole sweep's vector bundles as one streaming ALU batch, then
+// the lines as one run (an RMW run when rmw).
+func vecSweep(r *Recorder, base uint64, lines, bundle int, rmw bool) {
+	r.OpStream((lines + 3) / 4 * bundle)
+	r.Run(base, 64, lines, 0, rmw, PreNone, 0)
+}
+
+// countSweep totals a stream's ALU ops, accesses and RMW pairs.
+func countSweep(t *testing.T, ops []Op) (alu, accesses, pairs uint64) {
+	t.Helper()
+	for _, op := range ops {
 		switch op.Kind {
 		case KOpStream, KOps:
-			ops += op.Arg
+			alu += op.Arg
 		case KRun, KAccess:
-			ops += uint64(op.PreN) * op.Arg
+			alu += uint64(op.PreN) * op.Arg
 			accesses += op.Arg
+		case KRMW:
+			alu += uint64(op.PreN) * op.Arg
+			pairs += op.Arg
 		default:
 			t.Fatalf("unexpected record kind %d: %+v", op.Kind, op)
 		}
 	}
-	if want := uint64(lines / 4 * bundle); ops != want {
-		t.Errorf("collapse lost ALU ops: have %d, want %d", ops, want)
+	return alu, accesses, pairs
+}
+
+// TestBundleCollapseVec pins how a vectorized sweep records: exactly
+// [KOpStream, KRun], with every ALU op and access conserved and the
+// events counted as the per-line stream would have counted them.
+func TestBundleCollapseVec(t *testing.T) {
+	const lines, bundle = 64, 14 // 14 = 4*3+2: indivisible by the group on purpose
+	r := NewRecorder(0)
+	vecSweep(r, 0, lines, bundle, false)
+	if _, events := r.DebugCounts(); events != lines/4*bundle+lines {
+		t.Errorf("sweep counted %d events, want %d", events, lines/4*bundle+lines)
+	}
+	tr, ok := r.Take()
+	if !ok {
+		t.Fatal("recorder reported abort")
+	}
+	if len(tr.Ops) != 2 || tr.Ops[0].Kind != KOpStream || tr.Ops[1].Kind != KRun {
+		t.Fatalf("vector sweep recorded as %+v, want [KOpStream, KRun]", tr.Ops)
+	}
+	alu, accesses, _ := countSweep(t, tr.Ops)
+	if want := uint64(lines / 4 * bundle); alu != want {
+		t.Errorf("sweep lost ALU ops: have %d, want %d", alu, want)
 	}
 	if accesses != lines {
-		t.Errorf("collapse lost accesses: have %d, want %d", accesses, lines)
+		t.Errorf("sweep lost accesses: have %d, want %d", accesses, lines)
 	}
 }
 
 // TestBundleCollapseRMW is the same for the vectorized store sweeps,
-// whose groups are load/store RMW pairs.
+// which record as [KOpStream, KRMW].
 func TestBundleCollapseRMW(t *testing.T) {
 	const lines, bundle = 64, 14
 	r := NewRecorder(0)
-	for i := 0; i < lines; i++ {
-		if i%4 == 0 {
-			r.OpStream(bundle)
-		}
-		r.Access(uint64(i*64), 0)
-		r.Access(uint64(i*64), writeBit)
+	vecSweep(r, 0, lines, bundle, true)
+	if _, events := r.DebugCounts(); events != lines/4*bundle+2*lines {
+		t.Errorf("RMW sweep counted %d events, want %d", events, lines/4*bundle+2*lines)
 	}
 	tr, ok := r.Take()
 	if !ok {
 		t.Fatal("recorder reported abort")
 	}
-	if len(tr.Ops) > 4 {
-		t.Fatalf("RMW vector sweep compressed to %d records, want <=4: %+v", len(tr.Ops), tr.Ops)
+	if len(tr.Ops) != 2 || tr.Ops[0].Kind != KOpStream || tr.Ops[1].Kind != KRMW {
+		t.Fatalf("RMW vector sweep recorded as %+v, want [KOpStream, KRMW]", tr.Ops)
 	}
-	var pairs uint64
-	for _, op := range tr.Ops {
-		if op.Kind == KRMW {
-			pairs += op.Arg
-		}
+	alu, _, pairs := countSweep(t, tr.Ops)
+	if want := uint64(lines / 4 * bundle); alu != want {
+		t.Errorf("RMW sweep lost ALU ops: have %d, want %d", alu, want)
 	}
 	if pairs != lines {
-		t.Errorf("collapse lost RMW pairs: have %d, want %d", pairs, lines)
+		t.Errorf("RMW sweep lost pairs: have %d, want %d", pairs, lines)
 	}
 }
 
-// TestBundleCollapseRequiresGeometry pins that the collapse never fires
-// across a stride break: a new sweep restarting at the base address
-// must not fold into the previous sweep's records.
+// TestBundleCollapseRequiresGeometry pins that sweeps never merge
+// across a stride break: a second sweep restarting at the base address
+// must not fold into the first sweep's run, while a sweep that does
+// continue it extends the run.
 func TestBundleCollapseRequiresGeometry(t *testing.T) {
 	r := NewRecorder(0)
 	for sweep := 0; sweep < 2; sweep++ {
-		for i := 0; i < 8; i++ {
-			if i%4 == 0 {
-				r.OpStream(8)
-			}
-			r.Access(uint64(i*64), 0)
-		}
+		vecSweep(r, 0, 8, 8, false)
 	}
 	tr, ok := r.Take()
 	if !ok {
 		t.Fatal("recorder reported abort")
 	}
-	var accesses uint64
+	if len(tr.Ops) != 4 {
+		t.Fatalf("two restarting sweeps recorded as %+v, want 4 records", tr.Ops)
+	}
 	for _, op := range tr.Ops {
-		if op.Kind == KRun || op.Kind == KAccess {
-			accesses += op.Arg
+		if op.Kind == KRun && (op.Addr != 0 || op.Arg != 8 || op.Stride != 64) {
+			t.Errorf("stride break mangled a sweep: %+v", op)
 		}
 	}
-	if accesses != 16 {
-		t.Errorf("stride break mangled the stream: %d accesses, want 16: %+v", accesses, tr.Ops)
+	if alu, accesses, _ := countSweep(t, tr.Ops); alu != 32 || accesses != 16 {
+		t.Errorf("stride break lost work: %d ALU ops, %d accesses, want 32 and 16", alu, accesses)
+	}
+
+	r = NewRecorder(0)
+	r.Run(0, 64, 4, 0, false, PreStream, 6)
+	r.Run(4*64, 64, 4, 0, false, PreStream, 6)
+	r.Run(16*64, 64, 4, 0, false, PreStream, 6)
+	tr, _ = r.Take()
+	if len(tr.Ops) != 2 || tr.Ops[0].Arg != 8 || tr.Ops[1].Addr != 16*64 {
+		t.Errorf("continuing and gapped sweeps recorded as %+v, want [run of 8, run of 4]", tr.Ops)
 	}
 }
