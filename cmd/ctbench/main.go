@@ -556,8 +556,8 @@ func main() {
 		fr := fleetCo.FleetReport()
 		fleetReport = &fr
 		if len(fr.Workers) > 0 {
-			fmt.Printf("fleet obs: %d metric snapshots merged (%d entries), %d spans imported, %d remote points\n",
-				s["metric_snapshots"], s["metric_entries"], s["spans_imported"], s["remote_points"])
+			fmt.Printf("fleet obs: %d metric heartbeats and %d metric uploads merged (%d entries), %d spans imported, %d remote points\n",
+				s["metric_heartbeats"], s["metric_uploads"], s["metric_entries"], s["spans_imported"], s["remote_points"])
 			for _, wr := range fr.Workers {
 				state := "lost"
 				if wr.Live {

@@ -6,8 +6,7 @@
 package attacker
 
 import (
-	"fmt"
-	"strings"
+	"encoding/binary"
 
 	"ctbia/internal/cache"
 )
@@ -81,11 +80,25 @@ func Equal(a, b []uint64) bool {
 
 // Trace records the complete attacker-visible event stream, the
 // strongest observational model: full sequences, not just counts.
+// Events are only ever compared, never read back, so each one is
+// appended as a fixed-width binary record (see traceRecord) rather
+// than formatted.
 type Trace struct {
 	levelMask uint64 // bit i: record level i
-	b         strings.Builder
-	n         int
+	b         []byte
 }
+
+// traceRecord is the byte width of one recorded event: level, kind,
+// a write/dirty flag byte, then the line address as a little-endian
+// uint64. Records are fixed-width, so two buffers are equal exactly
+// when their event sequences are.
+const traceRecord = 3 + 8
+
+// Flag bits of a record's third byte.
+const (
+	traceWrite = 1 << iota
+	traceDirty
+)
 
 // NewTrace subscribes a recorder for the given levels (empty = all).
 func NewTrace(h *cache.Hierarchy, levels ...int) *Trace {
@@ -102,13 +115,22 @@ func NewTrace(h *cache.Hierarchy, levels ...int) *Trace {
 	return tr
 }
 
-// CacheEvent implements cache.Listener.
+// CacheEvent implements cache.Listener. A recorded level is below 64
+// (the mask's width) and kinds are the five cache.EventKind values, so
+// each fits its byte.
 func (tr *Trace) CacheEvent(ev cache.Event) {
 	if ev.Probe || tr.levelMask&(1<<uint(ev.Level)) == 0 {
 		return
 	}
-	tr.n++
-	fmt.Fprintf(&tr.b, "%d%v%x%v%v;", ev.Level, ev.Kind, uint64(ev.Line), ev.Write, ev.Dirty)
+	var f byte
+	if ev.Write {
+		f |= traceWrite
+	}
+	if ev.Dirty {
+		f |= traceDirty
+	}
+	tr.b = append(tr.b, byte(ev.Level), byte(ev.Kind), f)
+	tr.b = binary.LittleEndian.AppendUint64(tr.b, uint64(ev.Line))
 }
 
 // WantsLevel implements cache.LevelFilter, so a trace pinned to one
@@ -116,7 +138,9 @@ func (tr *Trace) CacheEvent(ev cache.Event) {
 func (tr *Trace) WantsLevel(level int) bool { return tr.levelMask&(1<<uint(level)) != 0 }
 
 // Len returns the number of recorded events.
-func (tr *Trace) Len() int { return tr.n }
+func (tr *Trace) Len() int { return len(tr.b) / traceRecord }
 
-// Key returns a canonical string for trace-equality comparison.
-func (tr *Trace) Key() string { return tr.b.String() }
+// Key returns an opaque comparison key for the recorded trace: two
+// keys are equal exactly when the recorded event sequences are. It is
+// binary, not readable text.
+func (tr *Trace) Key() string { return string(tr.b) }

@@ -69,12 +69,13 @@ type Config struct {
 	Seed int64
 }
 
+// line is one way's state. Its address lives in Cache.tags, the one
+// copy of every way's identity.
 type line struct {
 	valid  bool
 	dirty  bool
 	pinned bool
-	addr   memp.Addr // line-aligned address (the "tag", stored whole)
-	stamp  uint64    // policy metadata: LRU last-touch / FIFO fill time
+	stamp  uint64 // policy metadata: LRU last-touch / FIFO fill time
 }
 
 // Stats counts the activity of one cache level.
@@ -111,9 +112,10 @@ type Cache struct {
 	slcMask    uint64 // setsPerSlc-1 when a power of two, else 0
 	maskOK     bool   // set mapping can use bit-masking
 	lines      []line // sets*ways, set-major
-	// tags mirrors lines[i].addr for valid lines (noTag otherwise) in a
-	// dense array, so the per-probe way scan walks 8-byte tags instead
-	// of the padded line structs. Kept in sync by setTag at the three
+	// tags holds the line-aligned address of each valid way (noTag
+	// otherwise) in a dense array parallel to lines, so the per-probe
+	// way scan walks 8-byte tags instead of the line structs. It is
+	// the only copy of a way's address, set by setTag at the three
 	// places a line's identity changes (fill, evict, back-invalidate).
 	tags []memp.Addr
 	// validCnt tracks valid lines per set (maintained by setTag), so
@@ -396,9 +398,10 @@ func (c *Cache) ValidCount(s int) int {
 // tests and debugging.
 func (c *Cache) Contents(s int) []memp.Addr {
 	var out []memp.Addr
-	for _, ln := range c.set(s) {
+	base := s * c.cfg.Ways
+	for w, ln := range c.set(s) {
 		if ln.valid {
-			out = append(out, ln.addr)
+			out = append(out, c.tags[base+w])
 		}
 	}
 	return out
@@ -409,7 +412,7 @@ func (c *Cache) DirtyLines() []memp.Addr {
 	var out []memp.Addr
 	for i := range c.lines {
 		if c.lines[i].valid && c.lines[i].dirty {
-			out = append(out, c.lines[i].addr)
+			out = append(out, c.tags[i])
 		}
 	}
 	return out
@@ -456,7 +459,7 @@ func (c *Cache) ResetStats() { c.Stats = Stats{} }
 // Random-policy RNG back at its seeded state, stats cleared. Only sets
 // that currently
 // hold a valid line are scrubbed — invalid lines can carry stale
-// stamp/addr values from a previous life, but those fields are only
+// stamp values from a previous life, but stamps are only
 // ever consulted for valid lines (find goes through the tag array and
 // the policy only compares stamps of lines filled since), so skipping
 // them keeps Reset proportional to the touched footprint, not the

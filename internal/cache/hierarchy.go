@@ -518,7 +518,6 @@ func (h *Hierarchy) fillLevel(i int, la memp.Addr, dirty bool, flags Flags, chec
 	}
 	ln.valid = true
 	ln.dirty = dirty
-	ln.addr = la
 	c.setTag(s, w, la)
 	c.clock++
 	ln.stamp = c.clock
@@ -540,16 +539,17 @@ func (h *Hierarchy) fillLevel(i int, la memp.Addr, dirty bool, flags Flags, chec
 // In inclusive mode the inner levels are back-invalidated first, so
 // their dirty data drains into this level's copy before it leaves.
 func (h *Hierarchy) evictLine(i int, c *Cache, s, w int, ln *line) {
+	la := c.tags[s*c.cfg.Ways+w]
 	if h.Inclusive && i > 1 {
-		h.backInvalidate(i, ln.addr)
+		h.backInvalidate(i, la)
 	}
 	c.Stats.Evictions++
 	if h.snoopsAt(i) {
-		h.emit(Event{Level: i, Kind: EvEvict, Line: ln.addr, Set: s, Dirty: ln.dirty})
+		h.emit(Event{Level: i, Kind: EvEvict, Line: la, Set: s, Dirty: ln.dirty})
 	}
 	if ln.dirty {
 		c.Stats.Writebacks++
-		h.writeback(i+1, ln.addr)
+		h.writeback(i+1, la)
 	}
 	ln.valid = false
 	ln.dirty = false
@@ -728,9 +728,10 @@ func (h *Hierarchy) SnapshotLevel(i int) Snapshot {
 	c := h.Level(i)
 	var snap Snapshot
 	for s := 0; s < c.sets; s++ {
-		for _, ln := range c.set(s) {
+		base := s * c.cfg.Ways
+		for w, ln := range c.set(s) {
 			if ln.valid {
-				snap.Lines = append(snap.Lines, SnapshotLine{Set: s, Addr: ln.addr, Dirty: ln.dirty, Stamp: ln.stamp})
+				snap.Lines = append(snap.Lines, SnapshotLine{Set: s, Addr: c.tags[base+w], Dirty: ln.dirty, Stamp: ln.stamp})
 			}
 		}
 	}

@@ -88,10 +88,11 @@ type Stats struct {
 	LocalUnits       atomic.Uint64
 	CachedUnits      atomic.Uint64
 	// v2 observability-streaming accounting.
-	MetricSnapshots atomic.Uint64 // metric payloads merged (heartbeat deltas + upload snapshots)
-	MetricEntries   atomic.Uint64 // individual entries across those payloads
-	SpansImported   atomic.Uint64 // timeline spans merged from worker uploads
-	RemotePoints    atomic.Uint64 // simulation points executed inside accepted remote units
+	MetricHeartbeats atomic.Uint64 // heartbeats whose registry entries were max-merged into a worker's image
+	MetricUploads    atomic.Uint64 // accepted (non-duplicate) uploads whose metric delta was merged
+	MetricEntries    atomic.Uint64 // individual entries across both kinds of payload
+	SpansImported    atomic.Uint64 // timeline spans merged from worker uploads
+	RemotePoints     atomic.Uint64 // simulation points executed inside accepted remote units
 }
 
 // Map snapshots the counters under flat snake_case names.
@@ -110,7 +111,8 @@ func (s *Stats) Map() map[string]uint64 {
 		"dedup_hits":        s.DedupHits.Load(),
 		"local_units":       s.LocalUnits.Load(),
 		"cached_units":      s.CachedUnits.Load(),
-		"metric_snapshots":  s.MetricSnapshots.Load(),
+		"metric_heartbeats": s.MetricHeartbeats.Load(),
+		"metric_uploads":    s.MetricUploads.Load(),
 		"metric_entries":    s.MetricEntries.Load(),
 		"spans_imported":    s.SpansImported.Load(),
 		"remote_points":     s.RemotePoints.Load(),
@@ -728,7 +730,7 @@ func (c *Coordinator) noteHeartbeatObs(req *heartbeatRequest, recvNS int64) {
 		}
 	}
 	if n := len(req.Obs); n > 0 {
-		c.stats.MetricSnapshots.Add(1)
+		c.stats.MetricHeartbeats.Add(1)
 		c.stats.MetricEntries.Add(uint64(n))
 	}
 	// Clock offset ≈ recv − sent − rtt/2. Keep the smallest-RTT sample
@@ -822,7 +824,7 @@ func (c *Coordinator) noteRemoteUpload(req *resultRequest, granted time.Time) {
 	}
 	if len(req.Metrics) > 0 {
 		n := obs.MergeFlat(req.Metrics)
-		c.stats.MetricSnapshots.Add(1)
+		c.stats.MetricUploads.Add(1)
 		c.stats.MetricEntries.Add(uint64(n))
 	}
 	if len(req.Spans) > 0 {
@@ -837,6 +839,12 @@ func (c *Coordinator) noteRemoteUpload(req *resultRequest, granted time.Time) {
 		c.obsWorkers[req.Worker] = wo
 	}
 	wo.units++
+	// The worker finished the unit it last reported busy on; without
+	// this its row would say "busy" until a heartbeat that may never
+	// come once the sweep has drained.
+	if wo.busy == req.ExpID {
+		wo.busy = ""
+	}
 	if len(req.Obs) > 0 {
 		wo.lastObs = time.Now()
 		for k, v := range req.Obs {

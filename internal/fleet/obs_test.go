@@ -98,8 +98,8 @@ func TestMetricMergeIdempotentOnDuplicate(t *testing.T) {
 			snap["flt.test_hist.le_16"], snap["flt.test_hist.le_32"])
 	}
 	st := co.Stats()
-	if v := st.MetricSnapshots.Load(); v != 1 {
-		t.Errorf("metric_snapshots = %d, want 1", v)
+	if v := st.MetricUploads.Load(); v != 1 {
+		t.Errorf("metric_uploads = %d, want 1", v)
 	}
 	if v := st.RemotePoints.Load(); v != 9 {
 		t.Errorf("remote_points = %d, want 9 (dup must not double)", v)
@@ -172,6 +172,113 @@ func TestHeartbeatObsPerWorkerPlane(t *testing.T) {
 	}
 }
 
+// remoteUnits starts a coordinator over exps that waits for a remote
+// worker indefinitely, joins a hand-driven worker and leases it every
+// unit. The returned wait blocks until the run ends.
+func remoteUnits(t *testing.T, id string, exps []harness.Experiment) (*Coordinator, *Worker, []leaseResponse, func() []harness.Result) {
+	t.Helper()
+	cfg := testCfg()
+	cfg.JoinWait = time.Hour
+	cfg.IdleGrace = time.Hour
+	cfg.LeaseTTL = time.Minute
+	cfg.Linger = 100 * time.Millisecond
+	co, err := NewCoordinator(cfg, exps, harness.Options{Quick: true, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := startRun(t, co)
+	w := NewWorker(WorkerConfig{URL: co.Addr(), ID: id, Opts: harness.Options{Quick: true, Parallel: 1}})
+	if _, err := w.join(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	leases := make([]leaseResponse, len(exps))
+	for i := range leases {
+		if err := w.post("/fleet/lease", leaseRequest{Worker: w.id}, &leases[i]); err != nil || leases[i].ExpID == "" {
+			t.Fatalf("lease %d: err=%v resp=%+v", i, err, leases[i])
+		}
+	}
+	return co, w, leases, wait
+}
+
+// upload submits lr's result, with metrics as its registry delta, and
+// reports whether the coordinator called it a duplicate.
+func upload(t *testing.T, w *Worker, lr leaseResponse, metrics map[string]uint64) (dup bool) {
+	t.Helper()
+	res := w.execute(lr, harness.Options{Quick: true, Parallel: 1})
+	var resp resultResponse
+	err := w.post("/fleet/result", resultRequest{
+		Worker: w.id, LeaseID: lr.LeaseID, Idx: lr.Idx, ExpID: lr.ExpID,
+		Table: res.Table, WallMS: 1, Machines: res.Machines, Metrics: metrics, Points: 1,
+	}, &resp)
+	if err != nil || !resp.OK {
+		t.Fatalf("upload %s: err=%v resp=%+v", lr.ExpID, err, resp)
+	}
+	return resp.Dup
+}
+
+// A worker's "busy" comes from its heartbeats, and after its last
+// upload there may be none. Accepting the upload of the unit a worker
+// was busy on clears it, so a drained fleet shows no busy workers.
+func TestUploadClearsBusy(t *testing.T) {
+	obsReset(t)
+	co, w, leases, wait := remoteUnits(t, "w-busy", testExps(t, "config"))
+	lr := leases[0]
+	var hb heartbeatResponse
+	if err := w.post("/fleet/heartbeat", heartbeatRequest{
+		Worker: w.id, SentNS: time.Now().UnixNano(), Busy: lr.ExpID, Obs: map[string]uint64{"flt.busy": 1},
+	}, &hb); err != nil || !hb.OK {
+		t.Fatalf("heartbeat: err=%v resp=%+v", err, hb)
+	}
+	if fr := co.FleetReport(); len(fr.Workers) != 1 || fr.Workers[0].Busy != lr.ExpID {
+		t.Fatalf("before upload: workers %+v, want one busy on %s", fr.Workers, lr.ExpID)
+	}
+	upload(t, w, lr, nil)
+	wait()
+	if fr := co.FleetReport(); len(fr.Workers) != 1 || fr.Workers[0].Busy != "" {
+		t.Errorf("after upload: workers %+v, want one that is not busy", fr.Workers)
+	}
+}
+
+// Heartbeat merges and upload merges are counted apart, so the upload
+// count can be checked against the accepted results: it equals the
+// non-duplicate accepted uploads that carried metrics.
+func TestMetricUploadsMatchAcceptedResults(t *testing.T) {
+	obsReset(t)
+	co, w, leases, wait := remoteUnits(t, "w-count", testExps(t, "config", "table2"))
+	obs.Arm()
+	for _, entries := range []map[string]uint64{{"flt.count": 3}, nil, {"flt.count": 4}} {
+		var hb heartbeatResponse
+		if err := w.post("/fleet/heartbeat", heartbeatRequest{
+			Worker: w.id, SentNS: time.Now().UnixNano(), Obs: entries,
+		}, &hb); err != nil || !hb.OK {
+			t.Fatalf("heartbeat: err=%v resp=%+v", err, hb)
+		}
+	}
+	if upload(t, w, leases[0], map[string]uint64{"flt.count": 1}) {
+		t.Fatal("first upload called a duplicate")
+	}
+	if !upload(t, w, leases[0], map[string]uint64{"flt.count": 1}) {
+		t.Fatal("repeated upload not called a duplicate")
+	}
+	if upload(t, w, leases[1], nil) {
+		t.Fatal("metric-less upload called a duplicate")
+	}
+	wait()
+	st := co.Stats()
+	if a, d := st.ResultsAccepted.Load(), st.DedupHits.Load(); a != 2 || d != 1 {
+		t.Fatalf("results_accepted = %d, dedup_hits = %d, want 2 and 1", a, d)
+	}
+	if v := st.MetricUploads.Load(); v != 1 {
+		t.Errorf("metric_uploads = %d, want 1 (the one accepted upload with metrics)", v)
+	}
+	if v := st.MetricHeartbeats.Load(); v != 2 {
+		t.Errorf("metric_heartbeats = %d, want 2 (the beats that carried entries)", v)
+	}
+	if m := st.Map(); m["metric_uploads"] != 1 || m["metric_heartbeats"] != 2 {
+		t.Errorf("Map() = %v, want metric_uploads 1 and metric_heartbeats 2", m)
+	}
+}
+
 // The join check accepts exactly the coordinator's protocol version
 // (with the metrics capability it is collecting) and refuses older and
 // newer workers alike.
@@ -223,8 +330,8 @@ func TestJoinVersionWindow(t *testing.T) {
 	if err := w.post("/fleet/heartbeat", heartbeatRequest{Worker: "w-v2"}, &hb); err != nil || !hb.OK {
 		t.Fatalf("v2 heartbeat: err=%v resp=%+v", err, hb)
 	}
-	if v := co.Stats().MetricSnapshots.Load(); v != 0 {
-		t.Errorf("metric_snapshots = %d after bare heartbeats, want 0", v)
+	if v := co.Stats().MetricHeartbeats.Load(); v != 0 {
+		t.Errorf("metric_heartbeats = %d after bare heartbeats, want 0", v)
 	}
 	wait()
 }

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
+	"ctbia/internal/cpu"
 	"ctbia/internal/ct"
 	"ctbia/internal/obs"
 	"ctbia/internal/workloads"
@@ -123,5 +125,52 @@ func BenchmarkRunWorkloadAllocs(b *testing.B) {
 	b.StopTimer()
 	if allocs := measureRunWorkloadAllocs(); allocs > runWorkloadAllocBudget {
 		b.Fatalf("RunWorkload: %.0f allocs/op, budget is %d", allocs, runWorkloadAllocBudget)
+	}
+}
+
+// machineForByteBudget bounds the heap one fresh Table 1 machine
+// allocates — what every ctsec and audit point pays before it
+// simulates anything. Measured at 6.80 MB for every BIA placement,
+// nearly all of it the three levels' line records and tag arrays. The
+// budget fails if line records regrow their own address copy
+// (9.04 MB).
+const machineForByteBudget = 7e6
+
+// machineSink keeps the measured builds observable to the compiler.
+var machineSink *cpu.Machine
+
+// measureMachineForBytes returns the heap bytes one MachineFor call
+// allocates, averaged over n builds.
+func measureMachineForBytes(biaLevel, n int) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		machineSink = MachineFor(biaLevel)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+func TestMachineForAllocBudget(t *testing.T) {
+	for _, lvl := range []int{0, 1, 2} {
+		if b := measureMachineForBytes(lvl, 4); b > machineForByteBudget {
+			t.Errorf("MachineFor(%d): %.2f MB per machine, budget is %.2f MB",
+				lvl, b/1e6, machineForByteBudget/1e6)
+		}
+	}
+}
+
+// BenchmarkMachineFor tracks the host cost of building one fresh
+// Table 1 machine with the BIA in L1 and fails when over the byte
+// budget.
+func BenchmarkMachineFor(b *testing.B) {
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		machineSink = MachineFor(1)
+	}
+	b.StopTimer()
+	if bytes := measureMachineForBytes(1, 4); bytes > machineForByteBudget {
+		b.Fatalf("MachineFor: %.2f MB per machine, budget is %.2f MB",
+			bytes/1e6, machineForByteBudget/1e6)
 	}
 }

@@ -49,7 +49,8 @@ func (s *System) NewTrace() *Trace {
 	return &Trace{tr: attacker.NewTrace(s.m.Hier)}
 }
 
-// Key returns a canonical string for equality comparison.
+// Key returns an opaque comparison key: two keys are equal exactly when
+// the recorded event sequences are. It is binary, not readable text.
 func (t *Trace) Key() string { return t.tr.Key() }
 
 // Len returns the number of recorded events.
