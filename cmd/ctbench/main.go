@@ -16,27 +16,11 @@
 //	                          # off (default) = always simulate,
 //	                          # rw = serve hits + store fresh results,
 //	                          # ro = serve hits, never write,
-//	                          # clear = empty the cache (results and
-//	                          # traces) and exit. A rw cache also prunes
-//	                          # entries from older simulator versions at
-//	                          # startup.
+//	                          # clear = empty the cache and exit. A rw
+//	                          # cache also prunes entries from older
+//	                          # simulator versions at startup.
 //	ctbench -cachedir DIR     # cache location (default
 //	                          # ~/.cache/ctbia/results)
-//	ctbench -trace off        # trace-replay engine: on (default) =
-//	                          # record each simulation point's operation
-//	                          # stream once and replay repeats through
-//	                          # the batched interpreter; record-only =
-//	                          # record but never replay; off = always
-//	                          # simulate from scratch
-//	ctbench -tracedir DIR     # persist traces to DIR (default: the
-//	                          # traces/ subdirectory of the cache dir
-//	                          # when -cache rw, else in-memory only)
-//	ctbench -fanout=false     # disable fan-out replay: grouped sweeps
-//	                          # (geosweep) decode the shared stream once
-//	                          # per machine config instead of once per
-//	                          # group. Tables are byte-identical either
-//	                          # way — only wall time and decode-pass
-//	                          # counts move
 //	ctbench -resume           # with -cache rw: consult the manifest
 //	                          # journal from a previous (possibly
 //	                          # crashed or partially failed) run and
@@ -55,10 +39,6 @@
 //	ctbench -json out.json    # machine-readable results: per-experiment
 //	                          # wall time, machine counts, cache hits
 //	                          # and table rows
-//	ctbench -benchjson b.json # run the perf snapshot suite (serial +
-//	                          # parallel wall time, allocs/op on the
-//	                          # core paths, cache-hit re-run time) and
-//	                          # write it as JSON
 //	ctbench -timeline t.json  # arm the observability layer and write a
 //	                          # Chrome trace-event timeline of every
 //	                          # harness phase (open in Perfetto or
@@ -158,20 +138,6 @@ type jsonReport struct {
 	CacheMode      string  `json:"cache_mode"`
 	CacheHits      int     `json:"cache_hits"`
 	CacheDir       string  `json:"cache_dir,omitempty"`
-	TraceMode      string  `json:"trace_mode"`
-	TraceRecords   uint64  `json:"trace_records"`
-	TraceReplays   uint64  `json:"trace_replays"`
-	// TraceSharedReplays counts replays served from a recording made
-	// under a different machine config (the sweep-level sharing win);
-	// TraceStaleFormat counts v1-format files transparently re-recorded.
-	TraceSharedReplays uint64 `json:"trace_shared_replays"`
-	TraceStaleFormat   uint64 `json:"trace_stale_format"`
-	// TraceFanoutReplays counts fan-out passes (one per served group);
-	// TraceDecodePasses counts full decode passes over stored streams —
-	// under fan-out, one per distinct trace key touched, not one per
-	// replay served.
-	TraceFanoutReplays uint64 `json:"trace_fanout_replays"`
-	TraceDecodePasses  uint64 `json:"trace_decode_passes"`
 	// Provenance stamps the producing toolchain and configuration so a
 	// result file is self-describing for trajectory tooling.
 	Provenance harness.Provenance `json:"provenance"`
@@ -212,13 +178,9 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker count for experiments and sweep points (0: one per CPU, 1: serial)")
 	cacheMode := flag.String("cache", "off", "result cache mode: off, rw (read+write), ro (read-only) or clear (empty the cache and exit)")
 	cacheDir := flag.String("cachedir", "", "result cache directory (default ~/.cache/ctbia/results)")
-	traceMode := flag.String("trace", "on", "trace-replay engine: on, off or record-only")
-	fanout := flag.Bool("fanout", true, "fan-out trace replay: charge every machine config of a grouped sweep from one decode pass per shared stream (false: serial per-config replay; tables are byte-identical either way)")
-	traceDir := flag.String("tracedir", "", "trace persistence directory (default <cachedir>/traces when -cache rw)")
 	resume := flag.Bool("resume", false, "resume a previous -cache rw run from its manifest journal (re-runs only missing or failed experiments)")
 	faults := flag.String("faults", "", "arm deterministic fault injection, e.g. 'seed=1; worker.panic@1' (chaos testing)")
 	jsonOut := flag.String("json", "", "write a machine-readable result file (wall times, machine counts, cache hits, table rows)")
-	benchJSON := flag.String("benchjson", "", "run the perf snapshot suite and write it to this file")
 	timelineOut := flag.String("timeline", "", "write a Chrome trace-event timeline of harness phases to this file (open in Perfetto or chrome://tracing)")
 	listen := flag.String("listen", "", "serve live introspection on this address during the run (/metrics, /metrics.json, /progress, /debug/vars, /debug/pprof)")
 	serve := flag.String("serve", "", "coordinate a distributed sweep on this address: shard experiments into leased work units for -worker processes, merging their tables (falls back to in-process execution if no worker joins)")
@@ -274,9 +236,6 @@ func main() {
 	if *fleetJoinWaitMS < 1 {
 		usageErr("-fleet-joinwait-ms %d: need a positive join deadline", *fleetJoinWaitMS)
 	}
-	if *serve != "" && *benchJSON != "" {
-		usageErr("-serve and -benchjson are mutually exclusive: the perf snapshot is a local measurement")
-	}
 	if *workerURL != "" {
 		// A worker executes what it is told and uploads; selection,
 		// caching, journaling and reporting all live on the coordinator.
@@ -289,7 +248,7 @@ func main() {
 		if *resume {
 			usageErr("-worker does not take -resume: resuming happens on the coordinator")
 		}
-		if *jsonOut != "" || *benchJSON != "" {
+		if *jsonOut != "" {
 			usageErr("-worker does not produce reports: run -json on the coordinator")
 		}
 	}
@@ -317,10 +276,6 @@ func main() {
 	if err != nil {
 		usageErr("%v", err)
 	}
-	tmode, err := harness.ParseTraceMode(*traceMode)
-	if err != nil {
-		usageErr("%v", err)
-	}
 	if *resume && mode != resultcache.ReadWrite {
 		usageErr("-resume needs -cache rw: the result cache is what lets completed experiments be skipped")
 	}
@@ -340,14 +295,6 @@ func main() {
 			usageErr("-cachedir: %v", err)
 		}
 	}
-	if *traceDir != "" {
-		if tmode == harness.TraceOff {
-			usageErr("-tracedir is meaningless with -trace off")
-		}
-		if err := resultcache.EnsureWritable(*traceDir); err != nil {
-			usageErr("-tracedir: %v", err)
-		}
-	}
 
 	// Opening with the simulator version salt prunes entries stored by
 	// older simulator versions (they could never be served again).
@@ -357,20 +304,6 @@ func main() {
 	}
 	if store.Pruned() > 0 {
 		fmt.Fprintf(os.Stderr, "ctbench: pruned %d stale cache entries (simulator version changed)\n", store.Pruned())
-	}
-
-	harness.SetTraceMode(tmode)
-	harness.SetTraceFanout(*fanout)
-	// Persist traces next to the result cache when it is writable, or
-	// wherever -tracedir points; otherwise traces stay in memory.
-	tdir := *traceDir
-	if tdir == "" && store.Mode() == resultcache.ReadWrite {
-		tdir = filepath.Join(store.Dir(), resultcache.TracesSubdir)
-	}
-	if tmode != harness.TraceOff && tdir != "" {
-		if err := harness.SetTraceDir(tdir); err != nil {
-			fatal(err)
-		}
 	}
 
 	// Observability. The instrumented layers cost one atomic load per
@@ -483,13 +416,6 @@ func main() {
 		return
 	}
 
-	if *benchJSON != "" {
-		if err := writeBenchSnapshot(*benchJSON, selected, opts); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	start := time.Now()
 	builtBefore, reusedBefore := cpu.MachinesBuilt(), cpu.MachinesReset()
 	var results []harness.Result
@@ -541,12 +467,9 @@ func main() {
 		}
 		fmt.Printf("(%s in %v%s)\n\n", r.Experiment.ID, r.Wall.Round(time.Millisecond), mark)
 	}
-	traceRecs, traceReps, _ := harness.TraceStats()
-	sharedReps, _ := harness.TraceShareStats()
-	fanouts, decodePasses, _ := harness.TraceFanoutStats()
-	fmt.Printf("total: %d experiments, %d machines (%d built, %d reused), %d cache hits, %d traces recorded, %d replayed (%d shared across configs, %d fan-out passes, %d decode passes), %v wall (parallel=%d, cache=%s, trace=%s)\n",
-		len(results), built+reused, built, reused, cacheHits, traceRecs, traceReps, sharedReps, fanouts, decodePasses,
-		wall.Round(time.Millisecond), workers, mode, tmode)
+	fmt.Printf("total: %d experiments, %d machines (%d built, %d reused), %d cache hits, %v wall (parallel=%d, cache=%s)\n",
+		len(results), built+reused, built, reused, cacheHits,
+		wall.Round(time.Millisecond), workers, mode)
 	var fleetReport *fleet.FleetReport
 	if fleetStats != nil {
 		s := fleetStats.Map()
@@ -589,18 +512,6 @@ func main() {
 	// flip the exit code — but only after every surviving table, profile
 	// and report has been written.
 	failures := harness.Failures(results)
-	if retries, quarantined := harness.TraceFaultStats(); retries > 0 || quarantined > 0 {
-		fmt.Fprintf(os.Stderr, "ctbench: %d transient faults retried, %d points quarantined onto the direct path\n", retries, quarantined)
-		if qp := harness.QuarantinedPoints(); len(qp) > 0 {
-			fmt.Fprintf(os.Stderr, "ctbench: quarantined: %s\n", strings.Join(qp, ", "))
-		}
-	}
-	if sf := harness.TraceStaleFormatCount(); sf > 0 {
-		fmt.Fprintf(os.Stderr, "ctbench: %d stale-format trace file(s) discarded and re-recorded\n", sf)
-		if sp := harness.StaleFormatPoints(); len(sp) > 0 {
-			fmt.Fprintf(os.Stderr, "ctbench: re-recorded: %s\n", strings.Join(sp, ", "))
-		}
-	}
 	if q := store.Quarantined(); q > 0 {
 		fmt.Fprintf(os.Stderr, "ctbench: %d corrupt result-cache entries quarantined\n", q)
 	}
@@ -630,26 +541,19 @@ func main() {
 
 	if *jsonOut != "" {
 		report := jsonReport{
-			Created:            time.Now().UTC().Format(time.RFC3339),
-			Quick:              *quick,
-			Parallel:           workers,
-			GOMAXPROCS:         runtime.GOMAXPROCS(0),
-			WallMS:             float64(wall.Microseconds()) / 1000,
-			Machines:           built + reused,
-			MachinesBuilt:      built,
-			MachinesReused:     reused,
-			CacheMode:          mode.String(),
-			CacheHits:          cacheHits,
-			CacheDir:           store.Dir(),
-			TraceMode:          tmode.String(),
-			TraceRecords:       traceRecs,
-			TraceReplays:       traceReps,
-			TraceSharedReplays: sharedReps,
-			TraceStaleFormat:   harness.TraceStaleFormatCount(),
-			TraceFanoutReplays: fanouts,
-			TraceDecodePasses:  decodePasses,
-			Provenance:         harness.NewProvenance(flagLine),
-			Metrics:            obs.Snapshot(),
+			Created:        time.Now().UTC().Format(time.RFC3339),
+			Quick:          *quick,
+			Parallel:       workers,
+			GOMAXPROCS:     runtime.GOMAXPROCS(0),
+			WallMS:         float64(wall.Microseconds()) / 1000,
+			Machines:       built + reused,
+			MachinesBuilt:  built,
+			MachinesReused: reused,
+			CacheMode:      mode.String(),
+			CacheHits:      cacheHits,
+			CacheDir:       store.Dir(),
+			Provenance:     harness.NewProvenance(flagLine),
+			Metrics:        obs.Snapshot(),
 		}
 		if fleetStats != nil {
 			report.Fleet = fleetStats.Map()

@@ -100,7 +100,7 @@ type Table struct {
 	lastChunk uint64
 	lastEntry *entry
 
-	// One-entry negative memo: under batched replay the snoop stream
+	// One-entry negative memo: under batched sweeps the snoop stream
 	// is dominated by long runs over chunks the table does not track,
 	// each of which would otherwise pay a full way scan. A miss is only
 	// cacheable until the next install (the sole way an absent chunk

@@ -18,13 +18,13 @@ import (
 // and the batch's (l1Hits, missCycles) split must re-compose into the
 // scalar path's total charged cycles.
 
-// TestBIAHierarchyIsBatchSafe pins the gate the cpu replay engine
-// keys on: a BIA wants hit/fill/evict/dirty events but not EvAccess,
-// so its hierarchy may take the batched fast path.
+// TestBIAHierarchyIsBatchSafe pins the gate the cpu sweeps key on: a
+// BIA wants hit/fill/evict/dirty events but not EvAccess, so its
+// hierarchy may take the batched fast path.
 func TestBIAHierarchyIsBatchSafe(t *testing.T) {
 	h, _ := newSystem()
 	if !h.BatchSafe() {
-		t.Fatal("BIA-attached hierarchy reports !BatchSafe; BIA replays would fall off the fast path")
+		t.Fatal("BIA-attached hierarchy reports !BatchSafe; BIA sweeps would fall off the fast path")
 	}
 }
 

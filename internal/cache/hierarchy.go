@@ -285,7 +285,7 @@ func (h *Hierarchy) demandAccess(start, probe int, la memp.Addr, flags Flags, cy
 // (and their miss paths delegate to demandAccess, which emits the
 // rest); the only events they skip are the per-probe EvAccess ones. A
 // BIA's kind filter excludes EvAccess, so BIA-attached machines batch;
-// attacker telemetry wants it, so instrumented replays take the scalar
+// attacker telemetry wants it, so instrumented sweeps take the scalar
 // path.
 func (h *Hierarchy) BatchSafe() bool { return !h.wants(EvAccess) }
 
@@ -316,10 +316,10 @@ func lineGroup(addr, la memp.Addr, stride int64, rem int) int {
 // all with the same flags, starting at L1 — semantically identical to n
 // AccessFrom(1, ...) calls, but with the L1 probe inlined and no Result
 // construction or per-access EvAccess plumbing. L1 hits still emit
-// EvHit/EvDirty when a listener snoops the L1 (the run-record snoop
-// path a BIA needs), so the batch is usable whenever BatchSafe holds;
-// the caller must also guarantee flags carry neither FlagUncached nor a
-// bypass (the cpu replay engine checks all of it). It returns the
+// EvHit/EvDirty when a listener snoops the L1 (the snoop path a BIA
+// needs), so the batch is usable whenever BatchSafe holds; the caller
+// must also guarantee flags carry neither FlagUncached nor a bypass
+// (the cpu sweeps check all of it). It returns the
 // number of accesses that hit in the L1 (the caller charges those at L1
 // latency or streaming throughput) and the total latency of the
 // remaining accesses.

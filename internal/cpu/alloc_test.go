@@ -40,7 +40,7 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 }
 
 // TestSweepZeroAllocs holds the sweep primitives to the same budget on
-// a warm machine with no recorder, on both the batched path and the
+// a warm machine, on both the batched path and the
 // per-access fallback an uncached sweep takes.
 func TestSweepZeroAllocs(t *testing.T) {
 	m := New(func() Config { c := DefaultConfig(); c.BIALevel = 1; return c }())

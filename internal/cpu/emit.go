@@ -4,16 +4,14 @@ package cpu
 // the span covers (what a bitmap-less implementation touches) and
 // skipped is how many of them the existence/dirtiness bitmap avoided.
 // Called by the strategy sweep loops and the macro-ops; cheap plain
-// increments, never replayed (see DSStats).
+// increments (see DSStats).
 func (m *Machine) NoteDSSpan(skipped, total int) {
 	m.DS.LinesSkipped += uint64(skipped)
 	m.DS.LinesTotal += uint64(total)
 	m.DS.Spans++
 }
 
-// noteProbe books a CT-probe outcome (see Counters.CTProbeHits). The
-// direct-execution sites and their replay twins call it identically, so
-// the trace-equivalence invariant on Counters holds.
+// noteProbe books a CT-probe outcome (see Counters.CTProbeHits).
 func (m *Machine) noteProbe(hit bool) {
 	if hit {
 		m.C.CTProbeHits++

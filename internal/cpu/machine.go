@@ -20,7 +20,6 @@ import (
 	"ctbia/internal/bia"
 	"ctbia/internal/cache"
 	"ctbia/internal/memp"
-	"ctbia/internal/trace"
 )
 
 // Config describes a full machine.
@@ -131,10 +130,7 @@ type Counters struct {
 	CTStores uint64
 	// CTProbeHits and CTProbeMisses count the CT probes' outcomes at
 	// the BIA's cache level (a CTStore "hit" means the line was present
-	// and dirty, so the store applied). Counted identically on direct
-	// execution and trace replay — the outcome is a pure function of
-	// cache state, which replay reproduces bit-exactly — so they can
-	// live in Counters, which the trace-equivalence tests compare whole.
+	// and dirty, so the store applied).
 	CTProbeHits   uint64
 	CTProbeMisses uint64
 }
@@ -143,8 +139,8 @@ type Counters struct {
 // Algorithms 2/3 realize: per page span, how many DS lines the bitmap
 // let the runtime skip versus the whole-DS touch a software-only
 // implementation pays. These are strategy-front-end observations — the
-// sweep code computes them while deciding what to fetch — so they are
-// not reproduced by trace replay and live outside Counters.
+// sweep code computes them while deciding what to fetch — so they live
+// outside Counters.
 type DSStats struct {
 	// LinesSkipped counts DS lines not touched thanks to set
 	// existence/dirtiness bits.
@@ -166,9 +162,7 @@ type Machine struct {
 	cfg Config
 	C   Counters
 
-	// DS aggregates bitmap-savings observations (see DSStats). Kept
-	// outside C because replay does not re-run the strategy front-end
-	// that produces them.
+	// DS aggregates bitmap-savings observations (see DSStats).
 	DS DSStats
 
 	// baseListeners is the hierarchy's listener count right after
@@ -186,11 +180,6 @@ type Machine struct {
 	// (four mode bits, sixteen combos); the sweep loops resolve their
 	// constant mode with one load instead of four branch tests.
 	modeLUT [16]cache.Flags
-
-	// rec, when non-nil, captures every stat-relevant primitive the
-	// machine executes (see SetRecorder); the stream replays through
-	// ExecTrace bit-identically.
-	rec *trace.Recorder
 }
 
 // machinesBuilt counts Machine constructions process-wide; the harness
@@ -247,7 +236,6 @@ func New(cfg Config) *Machine {
 func (m *Machine) Reset() {
 	m.C = Counters{}
 	m.DS = DSStats{}
-	m.rec = nil
 	m.opSlop = 0
 	m.streamParity = 0
 	m.Mem.Reset()
@@ -304,14 +292,6 @@ func (m *Machine) Op(n int) {
 	if n < 0 {
 		panic("cpu: negative op count")
 	}
-	if m.rec != nil && n > 0 {
-		m.rec.Op(n)
-	}
-	m.op(n)
-}
-
-// op charges n dependent ALU instructions without recording them.
-func (m *Machine) op(n int) {
 	m.retire(n)
 	m.C.Cycles += uint64(n)
 }
@@ -333,37 +313,20 @@ func (m *Machine) OpStream(n int) {
 	if n < 0 {
 		panic("cpu: negative op count")
 	}
-	if m.rec != nil && n > 0 {
-		m.rec.OpStream(n)
-	}
-	m.opStream(n)
-}
-
-// opStream charges n streaming ALU instructions without recording them.
-func (m *Machine) opStream(n int) {
 	m.retire(n)
 	// opSlop is non-negative, so / and % of the power-of-two issue
-	// width reduce to shift and mask (this runs once per sweep line).
+	// width reduce to shift and mask (this runs on every ALU bundle).
 	m.opSlop += n
 	m.C.Cycles += uint64(m.opSlop >> streamIssueShift)
 	m.opSlop &= streamIssueWidth - 1
 }
 
-// access runs one data access, recording it when a recorder is
-// attached, and charges its latency (see charge).
-func (m *Machine) access(addr memp.Addr, flags cache.Flags) cache.Result {
-	if m.rec != nil {
-		m.rec.Access(uint64(addr), uint32(flags))
-	}
-	return m.charge(addr, flags)
-}
-
-// charge runs one data access without recording it. Streaming
+// access runs one data access and charges its latency. Streaming
 // accesses that hit the first level probed are charged at the L1's
 // dual-port throughput (two per cycle) instead of their latency —
 // out-of-order execution fully pipelines a linearization sweep; misses
 // always pay their full latency.
-func (m *Machine) charge(addr memp.Addr, flags cache.Flags) cache.Result {
+func (m *Machine) access(addr memp.Addr, flags cache.Flags) cache.Result {
 	m.retire(1)
 	start := 1
 	if flags&flagBypassToBIA != 0 {
@@ -504,9 +467,6 @@ type Report struct {
 // the paper's programs touch their inputs during (unmeasured-here)
 // initialization, leaving the caches warm when the kernel starts.
 func (m *Machine) ResetStats() {
-	if m.rec != nil {
-		m.rec.ResetStats()
-	}
 	m.C = Counters{}
 	m.DS = DSStats{}
 	m.opSlop = 0
@@ -524,9 +484,6 @@ func (m *Machine) ResetStats() {
 func (m *Machine) WarmRegion(base memp.Addr, size uint64) {
 	if size == 0 {
 		return
-	}
-	if m.rec != nil {
-		m.rec.Warm(uint64(base), size)
 	}
 	last := (base + memp.Addr(size-1)).Line()
 	for la := base.Line(); la <= last; la += memp.LineSize {

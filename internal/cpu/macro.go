@@ -41,10 +41,6 @@ func (m *Machine) MacroCTLoad(pageBase, addr memp.Addr, bitmask uint64, w Width)
 		panic("cpu: macro ops are defined at page granularity (M=12)")
 	}
 	addrToRead := pageBase.Page() | memp.Addr(addr.PageOffset())
-	if m.rec != nil {
-		// The macro-op header's accounting is exactly a CTLoad header's.
-		m.rec.CTLoad(uint64(addrToRead))
-	}
 	m.retire(1) // the macro-op itself
 	m.C.CTLoads++
 	existence, _ := m.BIA.LookupOrInstall(addrToRead)
@@ -78,9 +74,6 @@ func (m *Machine) MacroCTStore(pageBase, addr memp.Addr, bitmask uint64, v uint6
 		panic("cpu: MacroCTStore on a machine without BIA")
 	}
 	addrToWrite := pageBase.Page() | memp.Addr(addr.PageOffset())
-	if m.rec != nil {
-		m.rec.MacroStoreHdr(uint64(addrToWrite))
-	}
 	m.retire(1)
 	m.C.CTStores++
 

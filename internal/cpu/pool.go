@@ -22,7 +22,7 @@ type Pool struct {
 	// spare strongly holds one idle machine. sync.Pool's contents are
 	// released at every GC, so a sweep that revisits a configuration
 	// after enough allocation churn (a geometry sweep touching many
-	// pools, a warm replay run after a cold recording run) would
+	// pools, or a repeated sweep) would
 	// rebuild its machine from scratch each round — for a Table 1
 	// machine that single build outweighs the point it simulates. One
 	// pinned spare caps the serial-path rebuild rate at zero while

@@ -59,9 +59,6 @@ func (m *Machine) CopyIn(sp *Scratchpad, base memp.Addr, size uint64) {
 		}
 		sp.loaded[la] = true
 		sp.used += memp.LineSize
-		if m.rec != nil {
-			m.rec.ScratchCopy(sp.latency)
-		}
 		// DRAM fetch (uncached: the scratchpad path does not touch
 		// the cache hierarchy) + scratchpad write.
 		m.retire(2)
@@ -79,9 +76,6 @@ func (m *Machine) ScratchLoad(sp *Scratchpad, addr memp.Addr, w Width) uint64 {
 	if !sp.Holds(addr) {
 		panic(fmt.Sprintf("cpu: scratchpad access to non-resident line %v", addr.Line()))
 	}
-	if m.rec != nil {
-		m.rec.ScratchLoad(sp.latency)
-	}
 	m.retire(1)
 	m.C.Loads++
 	m.C.Cycles += uint64(sp.latency)
@@ -93,9 +87,6 @@ func (m *Machine) ScratchStore(sp *Scratchpad, addr memp.Addr, v uint64, w Width
 	w.check()
 	if !sp.Holds(addr) {
 		panic(fmt.Sprintf("cpu: scratchpad access to non-resident line %v", addr.Line()))
-	}
-	if m.rec != nil {
-		m.rec.ScratchStore(sp.latency)
 	}
 	m.retire(1)
 	m.C.Stores++

@@ -5,7 +5,6 @@ import (
 
 	"ctbia/internal/cache"
 	"ctbia/internal/memp"
-	"ctbia/internal/trace"
 )
 
 // Linearization sweeps — Constantine-style loops that touch every line
@@ -14,8 +13,7 @@ import (
 // configuration. SweepLoad and SweepRMW charge such a loop in one call,
 // and SweepSlots a bitmap-driven fetch loop in one call per run of set
 // bits: the per-iteration ALU ops in bulk and the accesses through the
-// hierarchy's closed-form batch walk, via the same body (run) that
-// trace replay uses for its run records.
+// hierarchy's closed-form batch walk.
 //
 // Sweeps move no data. In the loops they replace, every access but the
 // target's is a read whose value a cmov discards, or a write-back of
@@ -30,8 +28,7 @@ import (
 //		m.LoadModeW(base+memp.Addr(k*stride), w, mode)
 //	}
 //
-// charges and emits, recorded as one run record, without reading any
-// data.
+// charges and emits, without reading any data.
 func (m *Machine) SweepLoad(base memp.Addr, stride int64, n, preStream int, w Width, mode AccessMode) {
 	m.sweep(base, stride, n, preStream, w, m.modeFlags(mode), false)
 }
@@ -59,7 +56,19 @@ func (m *Machine) SweepSlots(base memp.Addr, slots uint64, target memp.Addr, pre
 	}
 }
 
-// sweep validates a sweep, records it as one run record and charges it.
+// sweep validates a sweep and charges it: a strided run of n accesses
+// (n load+store pairs when rmw), each preceded by preStream streaming
+// ALU ops. The ops are charged in bulk up front, which is exact:
+// OpStream accounting is additive and the wide-issue slop carry is
+// untouched by accesses, so interleaving order cannot change any
+// counter.
+//
+// With no listener that wants per-access events and neither uncached
+// nor bypassing flags, the accesses take Hierarchy.AccessBatch(RMW):
+// one flat loop with the bookkeeping (retire, load/store counts,
+// streaming-hit cycle parity) applied in closed form, bit-exact with
+// the scalar loop. Otherwise every access goes through access, so
+// attacker telemetry sees the exact per-access event stream.
 func (m *Machine) sweep(base memp.Addr, stride int64, n, preStream int, w Width, flags cache.Flags, rmw bool) {
 	w.check()
 	if n < 0 || preStream < 0 {
@@ -68,44 +77,7 @@ func (m *Machine) sweep(base memp.Addr, stride int64, n, preStream int, w Width,
 	if n == 0 {
 		return
 	}
-	pre := uint8(trace.PreStream)
-	if preStream == 0 {
-		pre = trace.PreNone
-	}
-	if m.rec != nil {
-		m.rec.Run(uint64(base), stride, n, uint32(flags), rmw, pre, preStream)
-	}
-	m.run(base, stride, n, pre, preStream, flags, rmw)
-}
-
-// chargePre charges total ALU ops of a record's pre-op class in bulk.
-// Bulking is exact: Op/OpStream accounting is additive and the
-// wide-issue slop carry is untouched by accesses, so interleaving order
-// cannot change any counter.
-func (m *Machine) chargePre(pre uint8, total int) {
-	if total == 0 {
-		return
-	}
-	if pre == trace.PreStream {
-		m.opStream(total)
-	} else {
-		m.op(total)
-	}
-}
-
-// run is the one charging body for a strided run of n accesses (n
-// load+store pairs when rmw), each preceded by preN pre-ops of class
-// pre; it records nothing. Direct sweeps and trace replay's run records
-// both come through here.
-//
-// With no listener that wants per-access events and neither uncached
-// nor bypassing flags, the accesses take Hierarchy.AccessBatch(RMW):
-// one flat loop with the bookkeeping (retire, load/store counts,
-// streaming-hit cycle parity) applied in closed form, bit-exact with
-// the scalar loop. Otherwise every access goes through charge, so
-// attacker telemetry sees the exact per-access event stream.
-func (m *Machine) run(base memp.Addr, stride int64, n int, pre uint8, preN int, flags cache.Flags, rmw bool) {
-	m.chargePre(pre, preN*n)
+	m.OpStream(preStream * n)
 	if m.Hier.BatchSafe() && flags&(cache.FlagUncached|flagBypassToBIA) == 0 {
 		streaming := flags&flagStreaming != 0
 		f := flags &^ flagStreaming
@@ -130,9 +102,9 @@ func (m *Machine) run(base memp.Addr, stride int64, n int, pre uint8, preN int, 
 	}
 	addr := base
 	for k := 0; k < n; k++ {
-		m.charge(addr, flags)
+		m.access(addr, flags)
 		if rmw {
-			m.charge(addr, flags|cache.FlagWrite)
+			m.access(addr, flags|cache.FlagWrite)
 		}
 		addr += memp.Addr(stride)
 	}

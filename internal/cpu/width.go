@@ -97,9 +97,6 @@ func (m *Machine) CTLoadW(addr memp.Addr, w Width) (data uint64, existence uint6
 	if m.BIA == nil {
 		panic("cpu: CTLoad on a machine without BIA")
 	}
-	if m.rec != nil {
-		m.rec.CTLoad(uint64(addr))
-	}
 	m.retire(1)
 	m.C.CTLoads++
 	existence, _ = m.BIA.LookupOrInstall(addr)
@@ -120,9 +117,6 @@ func (m *Machine) CTStoreW(addr memp.Addr, v uint64, w Width) (dirtiness uint64)
 	w.check()
 	if m.BIA == nil {
 		panic("cpu: CTStore on a machine without BIA")
-	}
-	if m.rec != nil {
-		m.rec.CTStore(uint64(addr))
 	}
 	m.retire(1)
 	m.C.CTStores++

@@ -17,10 +17,6 @@
 // as friendly CLI errors instead of silently-inert fault plans):
 //
 //	worker.panic   panic an experiment worker (keyed by experiment id)
-//	trace.replay   panic inside a trace replay (keyed by point label)
-//	trace.read     fail reading a persisted trace file
-//	trace.write    fail persisting a recorded trace
-//	trace.corrupt  corrupt a persisted trace file's bytes on read
 //	cache.read     fail reading a result-cache entry
 //	cache.write    fail writing a result-cache entry
 //	cache.corrupt  corrupt a result-cache entry's bytes on read
@@ -33,9 +29,9 @@
 //	fleet.worker.stall    stall a worker past its lease deadline
 //	fleet.worker.kill     kill a worker mid-unit (no submission, ever)
 //
-// Example: CTBIA_FAULTS='seed=7;trace.corrupt@2;worker.panic@1:fig7a'
-// corrupts the second trace file read and panics the fig7a worker, both
-// reproducibly.
+// Example: CTBIA_FAULTS='seed=7;cache.corrupt@2;worker.panic@1:fig7a'
+// corrupts the second result-cache entry read and panics the fig7a
+// worker, both reproducibly.
 package faultinject
 
 import (
@@ -47,9 +43,9 @@ import (
 )
 
 // Fault is the typed panic/error value an injected fault surfaces as.
-// Transient faults model recoverable conditions (I/O hiccups, corrupt
-// replay state) that the harness retries through its degraded path;
-// permanent ones (injected worker panics) fail their point outright.
+// Transient faults model recoverable conditions (I/O hiccups) that
+// the caller may retry; permanent ones (injected worker panics) fail
+// their point outright.
 type Fault struct {
 	Point     string
 	Key       string
@@ -68,10 +64,6 @@ func (f *Fault) Error() string {
 // Points every rule must name one of; keep in sync with the package doc.
 var knownPoints = map[string]bool{
 	"worker.panic":  true,
-	"trace.replay":  true,
-	"trace.read":    true,
-	"trace.write":   true,
-	"trace.corrupt": true,
 	"cache.read":    true,
 	"cache.write":   true,
 	"cache.corrupt": true,

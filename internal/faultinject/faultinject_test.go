@@ -11,8 +11,9 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"",
 		"   ",
 		"made.up.point",
-		"trace.read@0",    // 1-based hit counts
-		"trace.read@x",    // non-numeric
+		"trace.replay",    // a retired point name
+		"cache.read@0",    // 1-based hit counts
+		"cache.read@x",    // non-numeric
 		"seed=notanumber", // bad seed
 		"seed=1",          // seed alone is not a fault plan
 		"worker.panic@1;bogus",
@@ -24,7 +25,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 }
 
 func TestParseAcceptsGrammar(t *testing.T) {
-	inj, err := Parse("seed=9; worker.panic@1:fig7a, trace.corrupt@2 ; cache.read")
+	inj, err := Parse("seed=9; worker.panic@1:fig7a, cache.corrupt@2 ; cache.write")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestDisarmedIsInert(t *testing.T) {
 }
 
 func TestNthHitCounting(t *testing.T) {
-	inj, err := Parse("trace.read@3")
+	inj, err := Parse("cache.read@3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestNthHitCounting(t *testing.T) {
 	defer Disarm()
 	fired := []bool{}
 	for i := 0; i < 5; i++ {
-		fired = append(fired, Should("trace.read", "k"))
+		fired = append(fired, Should("cache.read", "k"))
 	}
 	want := []bool{false, false, true, false, false}
 	for i := range want {
@@ -80,7 +81,7 @@ func TestMatchFiltersKeys(t *testing.T) {
 	if !Should("worker.panic", "fig7a") {
 		t.Fatal("did not fire on matching key")
 	}
-	if Should("trace.read", "fig7a") {
+	if Should("cache.read", "fig7a") {
 		t.Fatal("fired on non-matching point")
 	}
 }
@@ -108,11 +109,11 @@ func TestCheckPanicsWithTypedFault(t *testing.T) {
 func TestCorruptIsDeterministic(t *testing.T) {
 	orig := bytes.Repeat([]byte{0xab}, 256)
 	run := func() []byte {
-		inj, _ := Parse("seed=42;trace.corrupt@1")
+		inj, _ := Parse("seed=42;cache.corrupt@1")
 		Arm(inj)
 		defer Disarm()
 		buf := append([]byte(nil), orig...)
-		return Corrupt("trace.corrupt", "some/key", buf)
+		return Corrupt("cache.corrupt", "some/key", buf)
 	}
 	a, b := run(), run()
 	if bytes.Equal(a, orig) {
@@ -123,10 +124,10 @@ func TestCorruptIsDeterministic(t *testing.T) {
 	}
 	// A different seed corrupts differently (with 256 bytes a collision
 	// across all flipped offsets is vanishingly unlikely).
-	inj, _ := Parse("seed=43;trace.corrupt@1")
+	inj, _ := Parse("seed=43;cache.corrupt@1")
 	Arm(inj)
 	defer Disarm()
-	c := Corrupt("trace.corrupt", "some/key", append([]byte(nil), orig...))
+	c := Corrupt("cache.corrupt", "some/key", append([]byte(nil), orig...))
 	if bytes.Equal(a, c) {
 		t.Fatal("different seeds produced identical corruption")
 	}

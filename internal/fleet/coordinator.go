@@ -785,7 +785,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		if len(req.Errors) > 0 {
 			msg = req.Errors[0]
 		}
-		res.Err = &harness.PointError{Experiment: exp.ID, Err: errors.New(msg), Attempts: 1}
+		res.Err = &harness.PointError{Experiment: exp.ID, Err: errors.New(msg)}
 		if res.Table == nil {
 			t := &harness.Table{ID: exp.ID, Title: exp.Title, Paper: exp.Paper,
 				Headers: []string{"status", "error"}}

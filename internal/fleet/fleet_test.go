@@ -9,6 +9,7 @@ import (
 
 	"ctbia/internal/faultinject"
 	"ctbia/internal/harness"
+	"ctbia/internal/obs"
 	"ctbia/internal/resultcache"
 )
 
@@ -456,5 +457,51 @@ func TestStatsEmitMetrics(t *testing.T) {
 	}
 	if _, ok := got["fleet.heartbeats_missed"]; !ok {
 		t.Fatal("EmitMetrics missing fleet.heartbeats_missed")
+	}
+}
+
+// Point counts must not depend on the observability layer: with the
+// registry disarmed, a one-worker sweep's uploaded and per-worker point
+// counts both equal the points a serial run of the same experiments
+// executes (measured armed, as /progress counts them).
+func TestDisarmedFleetReportsSerialPoints(t *testing.T) {
+	obsReset(t)
+	exps := testExps(t, "fig2", "config", "table2")
+	obs.Arm()
+	runBefore := harness.PointsRun()
+	serialBaseline(t, exps)
+	_, _, _, _, serial := obs.ProgressCounts()
+	if serial == 0 {
+		t.Fatal("serial baseline executed no points")
+	}
+	if got := harness.PointsRun() - runBefore; got != serial {
+		t.Fatalf("harness.PointsRun counted %d serial points, obs counted %d", got, serial)
+	}
+	obs.Disarm()
+
+	opts := harness.Options{Quick: true, Parallel: 1}
+	cfg := testCfg()
+	cfg.JoinWait = 10 * time.Second
+	cfg.IdleGrace = 10 * time.Second
+	co, err := NewCoordinator(cfg, exps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := startRun(t, co)
+	ch := startWorker(co, "w-points", opts, 0)
+	wait()
+	if r := <-ch; r.err != nil {
+		t.Fatalf("worker: %v", r.err)
+	}
+	st := co.Stats().Map()
+	if st["local_units"] != 0 {
+		t.Fatalf("local_units = %d, want 0 (every point must run on the worker)", st["local_units"])
+	}
+	if st["remote_points"] != serial {
+		t.Errorf("uploaded results carry %d points, serial run executed %d", st["remote_points"], serial)
+	}
+	fr := co.FleetReport()
+	if len(fr.Workers) != 1 || fr.Workers[0].Points != serial {
+		t.Errorf("worker rows %+v, want one worker with %d points", fr.Workers, serial)
 	}
 }

@@ -119,7 +119,8 @@ type heartbeatRequest struct {
 	// recv − sent − rtt/2, keeping the smallest-RTT sample.
 	SentNS int64 `json:"sent_ns,omitempty"`
 	RTTNS  int64 `json:"rtt_ns,omitempty"`
-	// Points is the worker's cumulative executed-point count.
+	// Points counts the simulation points the worker has executed
+	// since it started running.
 	Points uint64 `json:"points,omitempty"`
 	// Busy names the experiment currently executing ("" when idle).
 	Busy string `json:"busy,omitempty"`

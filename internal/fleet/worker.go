@@ -72,6 +72,10 @@ type Worker struct {
 	busy      atomic.Value // string: experiment currently executing
 	lastRTT   atomic.Int64 // ns round-trip of the previous heartbeat post
 
+	// pointsBase is harness.PointsRun when Run started: heartbeats
+	// report the points executed since, not the whole process's.
+	pointsBase uint64
+
 	// lastSent tracks the cumulative registry values the coordinator has
 	// acknowledged, so each heartbeat ships only what changed. Committed
 	// only after a successful post: a dropped beat's entries simply ride
@@ -128,6 +132,7 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 	if stall <= 0 {
 		stall = time.Duration(hello.LeaseTTLMS) * time.Millisecond * 3 / 2
 	}
+	w.pointsBase = harness.PointsRun()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -206,7 +211,7 @@ func (w *Worker) execute(lr leaseResponse, opts harness.Options) harness.Result 
 	if err != nil {
 		// A unit this binary doesn't know: version skew the salt check
 		// should have caught. Report it failed rather than crash.
-		pe := &harness.PointError{Experiment: lr.ExpID, Err: err, Attempts: 1}
+		pe := &harness.PointError{Experiment: lr.ExpID, Err: err}
 		t := &harness.Table{ID: lr.ExpID, Headers: []string{"status", "error"}}
 		t.AddRow("FAILED", firstLine(err.Error()))
 		return harness.Result{Table: t, Err: pe}
@@ -331,7 +336,7 @@ func (w *Worker) heartbeatLoop(stop <-chan struct{}, interval time.Duration) {
 				Worker: w.id,
 				SentNS: time.Now().UnixNano(),
 				RTTNS:  w.lastRTT.Load(),
-				Points: obs.ProgressPoints(),
+				Points: harness.PointsRun() - w.pointsBase,
 			}
 			req.Busy, _ = w.busy.Load().(string)
 			var pending map[string]uint64

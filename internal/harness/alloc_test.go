@@ -12,7 +12,7 @@ import (
 
 // runWorkloadAllocBudget bounds the allocations of one pooled
 // RunWorkload call (machine from pool, full workload simulation,
-// verification, report). Measured at 22 allocs/op — the workload's own
+// verification, report). Measured at 24 allocs/op — the workload's own
 // input setup (slices of test data), not the access path, which is at
 // zero. The budget leaves headroom for small workload-side changes but
 // fails loudly if pooling regresses (a machine rebuild alone is
@@ -33,39 +33,6 @@ func TestRunWorkloadAllocBudget(t *testing.T) {
 	if allocs := measureRunWorkloadAllocs(); allocs > runWorkloadAllocBudget {
 		t.Errorf("RunWorkload: %.0f allocs/op, budget is %d — machine pooling regressed?",
 			allocs, runWorkloadAllocBudget)
-	}
-}
-
-// streamingReplayAllocBudget bounds one warm streaming replay: a
-// file-backed point served through Reader.Next (pooled chunk buffers)
-// pays the file open and header decode, nothing per chunk. Measured at
-// 9 allocs/op; the byte-level pin on the pooled buffers themselves
-// lives in the trace package's TestReaderCycleAllocBudget.
-const streamingReplayAllocBudget = 32
-
-func TestStreamingReplayAllocBudget(t *testing.T) {
-	dir := t.TempDir()
-	if err := SetTraceDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	old := maxInlineTraceBytes
-	t.Cleanup(func() {
-		maxInlineTraceBytes = old
-		SetTraceDir("")
-		ResetTraces()
-	})
-	maxInlineTraceBytes = 1 // every trace goes to disk; replays stream
-	ResetTraces()
-	w := workloads.Histogram{}
-	p := workloads.Params{Size: 500, Seed: 1}
-	RunWorkload(w, p, ct.Linear{}, 0) // record
-	RunWorkload(w, p, ct.Linear{}, 0) // first replay anchors the report
-	allocs := testing.AllocsPerRun(10, func() {
-		RunWorkload(w, p, ct.Linear{}, 0)
-	})
-	if allocs > streamingReplayAllocBudget {
-		t.Errorf("warm streaming replay: %.0f allocs/op, budget is %d — reader pooling regressed?",
-			allocs, streamingReplayAllocBudget)
 	}
 }
 

@@ -7,36 +7,16 @@ import (
 	"testing"
 	"time"
 
-	"ctbia/internal/ct"
 	"ctbia/internal/faultinject"
 	"ctbia/internal/resultcache"
-	"ctbia/internal/workloads"
 )
 
 // The chaos tier: every injected failure — a panicking worker, a
-// corrupted trace or cache file, a flaky replay — must cost exactly the
-// point it hits. Surviving points render byte-identically to a clean
-// run, and a resumed sweep finishes.
+// corrupted or unreadable cache entry — must cost exactly the point it
+// hits. Surviving points render byte-identically to a clean run, and a
+// resumed sweep finishes.
 
-// chaosSetup gives each chaos test a clean, self-restoring engine:
-// empty trace store, no persistence, trace mode on, fault injection
-// disarmed afterwards, and zero retry backoff so quarantine tests don't
-// sleep.
-func chaosSetup(t *testing.T) {
-	t.Helper()
-	ResetTraces()
-	SetTraceMode(TraceOn)
-	savedBase := retryBackoffBase
-	retryBackoffBase = 0
-	t.Cleanup(func() {
-		faultinject.Disarm()
-		SetTraceDir("")
-		SetTraceMode(TraceOn)
-		ResetTraces()
-		retryBackoffBase = savedBase
-	})
-}
-
+// arm parses and arms a fault spec, disarming at test end.
 func arm(t *testing.T, spec string) {
 	t.Helper()
 	inj, err := faultinject.Parse(spec)
@@ -44,6 +24,7 @@ func arm(t *testing.T, spec string) {
 		t.Fatal(err)
 	}
 	faultinject.Arm(inj)
+	t.Cleanup(faultinject.Disarm)
 }
 
 // chaosExps is a small experiment set with distinct IDs to kill and to
@@ -72,13 +53,11 @@ func renderAll(results []Result) []string {
 // An injected worker panic fails exactly its experiment; the survivor's
 // table is byte-identical to a clean run's.
 func TestChaosWorkerPanicIsolation(t *testing.T) {
-	chaosSetup(t)
 	exps := chaosExps(t)
 	o := Options{Quick: true, Parallel: 2}
 
 	clean := renderAll(RunAll(exps, o))
 
-	ResetTraces()
 	arm(t, "worker.panic@1:fig2")
 	results := RunAll(exps, o)
 	faultinject.Disarm()
@@ -104,140 +83,18 @@ func TestChaosWorkerPanicIsolation(t *testing.T) {
 	}
 }
 
-// A corrupted trace file on disk — real flipped bytes, not a mock — is
-// a silent miss: the point re-records and reports exactly the clean
-// numbers.
-func TestChaosCorruptedTraceFileOnDisk(t *testing.T) {
-	chaosSetup(t)
-	dir := t.TempDir()
-	if err := SetTraceDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	w := workloads.Histogram{}
-	p := workloads.Params{Size: 512, Seed: 1}
-
-	clean := RunWorkload(w, p, ct.BIA{}, 1)
-	files, err := filepath.Glob(filepath.Join(dir, "*.trace"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("want one persisted trace, got %v (err %v)", files, err)
-	}
-	buf, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)/2] ^= 0xff
-	if err := os.WriteFile(files[0], buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ResetTraces() // drop the memoized copy; force the disk path
-	got := RunWorkload(w, p, ct.BIA{}, 1)
-	if got != clean {
-		t.Errorf("report after on-disk corruption %+v, want %+v", got, clean)
-	}
-	if recs, replays, _ := TraceStats(); replays != 0 || recs != 1 {
-		t.Errorf("corrupt file should re-record, not replay: records=%d replays=%d", recs, replays)
-	}
-	if _, quarantined := TraceFaultStats(); quarantined != 0 {
-		t.Errorf("plain disk corruption is a miss, not a transient failure")
-	}
-}
-
-// An injected transient replay fault is retried through the degraded
-// direct path: same numbers, one booked retry, no quarantine yet.
-func TestChaosTransientReplayRetries(t *testing.T) {
-	chaosSetup(t)
-	w := workloads.Histogram{}
-	p := workloads.Params{Size: 512, Seed: 1}
-
-	clean := RunWorkload(w, p, ct.BIA{}, 1) // records
-	arm(t, "trace.replay@1:histogram/bia")
-	got := RunWorkload(w, p, ct.BIA{}, 1) // replay faults, retries direct
-	faultinject.Disarm()
-
-	if got != clean {
-		t.Errorf("degraded retry report %+v, want %+v", got, clean)
-	}
-	retries, quarantined := TraceFaultStats()
-	if retries != 1 || quarantined != 0 {
-		t.Errorf("retries=%d quarantined=%d, want 1/0", retries, quarantined)
-	}
-	// Next run replays normally again (the fault was @1, one-shot).
-	if again := RunWorkload(w, p, ct.BIA{}, 1); again != clean {
-		t.Errorf("post-fault replay %+v, want %+v", again, clean)
-	}
-}
-
-// A point that keeps failing transiently is quarantined after
-// quarantineAfter attempts and bypasses the engine forever after —
-// never an unbounded retry loop, and still always the right numbers.
-func TestChaosRepeatOffenderQuarantined(t *testing.T) {
-	chaosSetup(t)
-	w := workloads.Histogram{}
-	p := workloads.Params{Size: 512, Seed: 1}
-
-	clean := RunWorkload(w, p, ct.BIA{}, 1)
-	arm(t, "trace.replay:histogram/bia") // every replay attempt faults
-	for i := 0; i < quarantineAfter+2; i++ {
-		if got := RunWorkload(w, p, ct.BIA{}, 1); got != clean {
-			t.Fatalf("run %d under persistent faults: %+v, want %+v", i, got, clean)
-		}
-	}
-	faultinject.Disarm()
-
-	retries, quarantined := TraceFaultStats()
-	if retries != quarantineAfter {
-		t.Errorf("retries=%d, want exactly %d (quarantine must stop the retrying)", retries, quarantineAfter)
-	}
-	if quarantined != 1 {
-		t.Errorf("quarantined=%d, want 1", quarantined)
-	}
-	qp := QuarantinedPoints()
-	if len(qp) != 1 || qp[0] != "histogram/bia" {
-		t.Errorf("QuarantinedPoints()=%v, want [histogram/bia]", qp)
-	}
-	// Quarantine outlives the fault plan: the key stays on the direct
-	// path (correct numbers, no new replays) until ResetTraces.
-	before, _, _ := TraceStats()
-	if got := RunWorkload(w, p, ct.BIA{}, 1); got != clean {
-		t.Errorf("quarantined direct run %+v, want %+v", got, clean)
-	}
-	if after, _, _ := TraceStats(); after != before {
-		t.Errorf("quarantined key must not re-record (records %d -> %d)", before, after)
-	}
-}
-
-// Degraded-mode equivalence: with the trace engine force-disabled, and
-// separately with faults killing every trace read/write and cache read,
-// the full experiment tables stay byte-identical and nothing fails.
+// Degraded-mode equivalence: with faults killing every cache read, the
+// full experiment tables stay byte-identical and nothing fails.
 func TestChaosDegradedModeEquivalence(t *testing.T) {
-	chaosSetup(t)
 	exps := chaosExps(t)
 	o := Options{Quick: true, Parallel: 2}
 	clean := renderAll(RunAll(exps, o))
 
-	ResetTraces()
-	SetTraceMode(TraceOff)
-	off := RunAll(exps, o)
-	SetTraceMode(TraceOn)
-	for i, r := range off {
-		if r.Failed() {
-			t.Fatalf("trace-off run failed: %v", r.Err)
-		}
-		if got := r.Table.Render(); got != clean[i] {
-			t.Errorf("%s: trace-off table differs:\n%s\nwant:\n%s", r.Experiment.ID, got, clean[i])
-		}
-	}
-
-	ResetTraces()
-	if err := SetTraceDir(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
 	store, err := resultcache.Open(t.TempDir(), resultcache.ReadWrite, SimVersionSalt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arm(t, "trace.read;trace.write;cache.read")
+	arm(t, "cache.read")
 	faulted := RunAll(exps, Options{Quick: true, Parallel: 2, Cache: store})
 	faultinject.Disarm()
 	for i, r := range faulted {
@@ -258,7 +115,6 @@ func TestChaosDegradedModeEquivalence(t *testing.T) {
 // only the failed experiment, and the finished sweep matches a clean
 // one.
 func TestChaosResumeCompletesSweep(t *testing.T) {
-	chaosSetup(t)
 	exps := chaosExps(t)
 	clean := renderAll(RunAll(exps, Options{Quick: true, Parallel: 2}))
 
@@ -269,7 +125,6 @@ func TestChaosResumeCompletesSweep(t *testing.T) {
 	}
 	mpath := filepath.Join(dir, ManifestName)
 
-	ResetTraces()
 	arm(t, "worker.panic@1:relatedwork")
 	first := RunAll(exps, Options{Quick: true, Parallel: 2, Cache: store, Manifest: NewManifest(mpath, true)})
 	faultinject.Disarm()
@@ -312,7 +167,6 @@ func TestChaosResumeCompletesSweep(t *testing.T) {
 // A cache entry that decodes cleanly but is garbage (a JSON `null`
 // body) must be quarantined and recomputed, never served.
 func TestChaosGarbageJSONCacheEntry(t *testing.T) {
-	chaosSetup(t)
 	exps := chaosExps(t)[:1]
 	dir := t.TempDir()
 	store, err := resultcache.Open(dir, resultcache.ReadWrite, SimVersionSalt)
@@ -326,7 +180,6 @@ func TestChaosGarbageJSONCacheEntry(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte("null\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ResetTraces()
 	again := RunAll(exps, o)
 	if again[0].Cached {
 		t.Fatalf("a null entry must not be served")

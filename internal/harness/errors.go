@@ -6,13 +6,12 @@ import (
 	"runtime/debug"
 	"strings"
 
-	"ctbia/internal/faultinject"
 	"ctbia/internal/obs"
 )
 
 // PointError describes one measurement point (or whole experiment) that
-// could not be produced: a panicking worker, a simulator-verification
-// failure, or an exhausted retry sequence. RunAll and the sweep
+// could not be produced: a panicking worker or a simulator-verification
+// failure. RunAll and the sweep
 // experiments recover worker panics into PointErrors so a single bad
 // point costs one FAILED row, never the sweep.
 type PointError struct {
@@ -29,12 +28,6 @@ type PointError struct {
 	Err error
 	// Stack is the goroutine stack captured at the recovery site.
 	Stack []byte
-	// Attempts counts how many times the point was tried before
-	// giving up (1 when the failure was not retryable).
-	Attempts int
-	// Quarantined marks points whose trace key was quarantined after
-	// repeated transient failures.
-	Quarantined bool
 }
 
 // Error renders the failure with its location chain.
@@ -49,9 +42,6 @@ func (e *PointError) Error() string {
 	}
 	if e.Strategy != "" {
 		fmt.Fprintf(&b, " (%s)", e.Strategy)
-	}
-	if e.Attempts > 1 {
-		fmt.Fprintf(&b, " after %d attempts", e.Attempts)
 	}
 	fmt.Fprintf(&b, ": %v", e.Err)
 	return b.String()
@@ -73,23 +63,10 @@ func toPointError(p any) *PointError {
 		}
 		return v
 	case error:
-		return &PointError{Err: v, Attempts: 1, Stack: debug.Stack()}
+		return &PointError{Err: v, Stack: debug.Stack()}
 	default:
-		return &PointError{Err: fmt.Errorf("panic: %v", v), Attempts: 1, Stack: debug.Stack()}
+		return &PointError{Err: fmt.Errorf("panic: %v", v), Stack: debug.Stack()}
 	}
-}
-
-// transientFault reports whether err models a recoverable condition the
-// harness should retry through the degraded (no-trace) path: injected
-// transient faults and anything the replay layer recovered. Permanent
-// injected faults and simulator-verification failures are not.
-func transientFault(err error) bool {
-	var f *faultinject.Fault
-	if errors.As(err, &f) {
-		return f.Transient
-	}
-	var pe *PointError
-	return !errors.As(err, &pe)
 }
 
 // Fail records one unmeasurable point on the table: a row whose
@@ -118,7 +95,7 @@ func toPointErrorValue(err error) *PointError {
 	if errors.As(err, &pe) {
 		return pe
 	}
-	return &PointError{Err: err, Attempts: 1}
+	return &PointError{Err: err}
 }
 
 // Failed reports whether any of the table's points failed.

@@ -102,29 +102,9 @@ var smallPools = func() [4]*cpu.Pool {
 	return pools
 }()
 
-// smallPoolFP mirrors tablePoolFP for the small-hierarchy machines:
-// the different fingerprint keeps their traces disjoint from the
-// Table 1 ones even for identical (workload, params, strategy) points.
-var smallPoolFP = func() [4]string {
-	var fps [4]string
-	for lvl := range fps {
-		fps[lvl] = smallCacheConfig(lvl).Fingerprint()
-	}
-	return fps
-}()
-
-// runSmall is RunWorkload on the small-hierarchy machines, sharing the
-// trace engine: BIA-family points stay disjoint from the Table 1 ones
-// via the config fingerprint in their keys, while the pure strategies
-// replay the same shared recording both machine families use (the
-// per-config report anchors keep verification separate).
+// runSmall is RunWorkload on the small-hierarchy machines.
 func runSmall(w workloads.Workload, p workloads.Params, s ct.Strategy, biaLevel int) cpu.Report {
-	return runTraced(smallPools[biaLevel],
-		workloadTraceKey(w, p, s, biaLevel, smallPoolFP[biaLevel]),
-		w.Name()+"/"+s.Name(),
-		smallPoolFP[biaLevel],
-		func() uint64 { return w.Reference(p) },
-		func(m *cpu.Machine) uint64 { return w.Run(m, s, p) })
+	return runWorkloadIn(smallPools[biaLevel], w, p, s)
 }
 
 func runThreshold(o Options) *Table {

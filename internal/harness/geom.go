@@ -9,38 +9,30 @@ import (
 )
 
 // The geometry-sweep experiment: one workload/strategy point measured
-// across several machine geometries. This is the sweep shape trace
-// sharing exists for — the pure strategies' op/address streams are
-// machine-independent, so with tracing on the whole sweep performs one
-// recording per (workload, params, strategy) and replays that single
-// stream against every geometry, re-verified per config (checksum on
-// every replay, report anchors per fingerprint). The BIA rows key per
-// geometry as always, since CTLoad's bitmap reads make their streams
-// config-dependent.
+// across several machine geometries, each point simulated directly on
+// a pooled machine of that geometry.
 
 func init() {
 	register(Experiment{
 		ID:    "geosweep",
-		Title: "Geometry sweep: overhead stability across cache shapes (shared-trace sweep)",
-		Paper: "the Fig. 7 machine plus L1/LLC variants; one recording per (workload, params, strategy) serves every geometry",
+		Title: "Geometry sweep: overhead stability across cache shapes",
+		Paper: "the Fig. 7 machine plus L1/LLC variants, every (workload, strategy) point simulated on each geometry",
 		Run:   runGeoSweep,
 	})
 }
 
-// GeoGeometry is one machine shape of the sweep. Config carries
+// geoGeometry is one machine shape of the sweep. Config carries
 // BIALevel 0 (the pure-strategy machine); the BIA rows copy it with
 // BIALevel 1.
-type GeoGeometry struct {
+type geoGeometry struct {
 	Name   string
 	Config cpu.Config
 }
 
-// GeoSweepGeometries returns the sweep's geometry ladder: the Table 1
+// geoSweepGeometries returns the sweep's geometry ladder: the Table 1
 // machine plus an L1-halved, an L1-doubled and an LLC-quartered
-// variant. cmd/ctbench's benchmark and the CI smoke run sweep the same
-// ladder, so the "one recording, N replays" assertion there covers
-// exactly what this experiment measures.
-func GeoSweepGeometries() []GeoGeometry {
+// variant.
+func geoSweepGeometries() []geoGeometry {
 	table1 := cpu.DefaultConfig()
 	table1.BIALevel = 0
 	l1Half := cpu.DefaultConfig()
@@ -52,7 +44,7 @@ func GeoSweepGeometries() []GeoGeometry {
 	llcQuarter := cpu.DefaultConfig()
 	llcQuarter.BIALevel = 0
 	llcQuarter.Levels[2].Size = 4 << 20
-	return []GeoGeometry{
+	return []geoGeometry{
 		{Name: "table1", Config: table1},
 		{Name: "l1-32k", Config: l1Half},
 		{Name: "l1-128k", Config: l1Double},
@@ -79,17 +71,12 @@ func geoSweepWorkloads(quick bool) []struct {
 	}
 }
 
-// runGeoSweep measures the sweep grouped for fan-out: one group per
-// (workload, strategy), each group charging every geometry of the
-// ladder from a single decode pass of the shared stream (the BIA
-// groups key per config inside the group and degrade to per-config
-// replay). The table is assembled geometry-major exactly as the
-// pre-fan-out serial loop produced it, and every report is
-// bit-identical to per-config replay (the equivalence tests pin the
-// rendered bytes), so the grouping changes wall time and decode
-// passes only.
+// runGeoSweep measures the sweep in one group per (workload,
+// strategy), each group running its point on every geometry of the
+// ladder in turn. The table is assembled geometry-major, and a failed
+// group fails every row of its workload.
 func runGeoSweep(o Options) *Table {
-	geos := GeoSweepGeometries()
+	geos := geoSweepGeometries()
 	wls := geoSweepWorkloads(o.Quick)
 	t := &Table{ID: "geosweep",
 		Title:   "execution-time overhead vs insecure baseline across machine geometries",
@@ -121,7 +108,10 @@ func runGeoSweep(o Options) *Table {
 		if st.bia {
 			cfgs = biaCfgs
 		}
-		reports[gi] = RunWorkloadFanout(cfgs, wl.w, wl.p, st.s)
+		reports[gi] = make([]cpu.Report, len(cfgs))
+		for ci, cfg := range cfgs {
+			reports[gi][ci] = RunWorkloadOn(cfg, wl.w, wl.p, st.s)
+		}
 	})
 	for i := 0; i < len(geos)*len(wls); i++ {
 		gi, wi := i/len(wls), i%len(wls)

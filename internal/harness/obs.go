@@ -15,49 +15,15 @@ import (
 // Observability glue: the harness is the only simulation layer that
 // imports internal/obs. Machine-side statistics are harvested with
 // Machine.EmitMetrics right before a machine returns to its pool (after
-// that another worker may grab and reset it); the trace engine's
-// process-wide counters are exposed as a pull Source; run structure
-// (experiment → point → strategy → record/replay) is emitted as
-// timeline spans. Everything here is armed-gated, so a disarmed sweep
-// pays one atomic load per probe and allocates nothing extra — the
-// alloc-budget tests cover the path with this code in place.
-
-// traceBytesRecorded / traceBytesReplayed account trace wire volume:
-// bytes a recording would persist, and bytes a replay avoided
-// re-simulating. Their ratio is the engine's compression figure.
-var (
-	traceBytesRecorded atomic.Uint64
-	traceBytesReplayed atomic.Uint64
-)
+// that another worker may grab and reset it); run structure
+// (experiment → strategy → point) is emitted as timeline spans.
+// Everything here is armed-gated, so a disarmed sweep pays one atomic
+// load per probe and allocates nothing extra — the alloc-budget tests
+// cover the path with this code in place.
 
 // pointWall distributes per-point wall time (µs) in power-of-two
 // buckets; long sweeps reveal their straggler points here.
 var pointWall = obs.NewHistogram("harness.point_wall_us")
-
-func init() {
-	obs.RegisterSource(emitTraceMetrics)
-}
-
-// emitTraceMetrics is the trace engine's pull-side metrics producer.
-func emitTraceMetrics(emit func(name string, v uint64)) {
-	records, replays, rerecords := TraceStats()
-	retries, quarantined := TraceFaultStats()
-	emit("trace.records", records)
-	emit("trace.replays", replays)
-	emit("trace.rerecords", rerecords)
-	emit("trace.retries", retries)
-	emit("trace.quarantined", quarantined)
-	emit("trace.bytes_recorded", traceBytesRecorded.Load())
-	emit("trace.bytes_replayed", traceBytesReplayed.Load())
-	shared, avoided := TraceShareStats()
-	emit("trace.shared_replays", shared)
-	emit("trace.bytes_shared_avoided", avoided)
-	emit("trace.stale_format", TraceStaleFormatCount())
-	fanouts, passes, decodeAvoided := TraceFanoutStats()
-	emit("trace.fanout_replays", fanouts)
-	emit("trace.decode_passes", passes)
-	emit("trace.decode_bytes_avoided", decodeAvoided)
-}
 
 // harvestPlans caches, per machine pool, the interned metric IDs of
 // that pool's EmitMetrics emission in order. A pool is 1:1 with a

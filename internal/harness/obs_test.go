@@ -37,7 +37,7 @@ func firstWorkload(t *testing.T) workloads.Workload {
 // no new names interned, no value moved. Names interned by earlier
 // armed tests persist at zero by design (the registry never forgets a
 // touched counter), so the check is a before/after snapshot diff, not
-// an emptiness assertion. (Pull-side sources like the trace engine
+// an emptiness assertion. (Pull-side sources like the result cache
 // report their own live counters in every snapshot, so those are
 // excluded.)
 func TestDisarmedRunCollectsNothing(t *testing.T) {
@@ -47,7 +47,7 @@ func TestDisarmedRunCollectsNothing(t *testing.T) {
 	before := obs.Snapshot()
 	RunWorkload(w, workloads.Params{Size: resetSize(w), Seed: 1}, ct.BIA{}, 1)
 	for name, v := range obs.Snapshot() {
-		if strings.HasPrefix(name, "trace.") || strings.HasPrefix(name, "resultcache.") {
+		if strings.HasPrefix(name, "resultcache.") {
 			continue
 		}
 		if bv, ok := before[name]; !ok || bv != v {
@@ -58,12 +58,11 @@ func TestDisarmedRunCollectsNothing(t *testing.T) {
 
 // TestArmedRunHarvestsAllLayers runs one point armed and checks the
 // acceptance-criteria metrics appear: BIA lines skipped, per-level
-// cache stats, CT probe outcomes, page-cache and trace counters.
+// cache stats, CT probe outcomes, page-cache counters and the point
+// wall-time histogram.
 func TestArmedRunHarvestsAllLayers(t *testing.T) {
 	defer obsReset()
 	obsReset()
-	defer ResetTraces()
-	ResetTraces()
 	obs.Arm()
 	w := firstWorkload(t)
 	p := workloads.Params{Size: resetSize(w), Seed: 1}
@@ -88,24 +87,22 @@ func TestArmedRunHarvestsAllLayers(t *testing.T) {
 	if snap["bia.ds_lines_skipped"]+snap["bia.ds_lines_total"] == 0 {
 		t.Error("DS savings metrics absent")
 	}
-	// The trace source must be wired in (records the first run).
-	if snap["trace.records"] == 0 || snap["trace.bytes_recorded"] == 0 {
-		t.Errorf("trace source metrics missing: records=%d bytes=%d",
-			snap["trace.records"], snap["trace.bytes_recorded"])
+	// Every point lands once in the wall-time histogram.
+	if n := snap["harness.point_wall_us.count"]; n != 1 {
+		t.Errorf("harness.point_wall_us.count = %d after one point, want 1", n)
 	}
 
-	// A replayed repeat harvests the same machine-side metrics again —
-	// pooled machines must start clean (the reset-leak guard end to end).
+	// A repeat harvests the same machine-side metrics again — pooled
+	// machines must start clean (the reset-leak guard end to end).
 	first := snap["cpu.cycles"]
 	RunWorkload(w, p, ct.BIA{}, 1)
 	snap2 := obs.Snapshot()
 	if snap2["cpu.cycles"] != 2*first {
-		t.Errorf("second (replayed) run harvested cpu.cycles %d, want exactly 2x the first run's %d — pooled machine leaked stats",
+		t.Errorf("second run harvested cpu.cycles %d, want exactly 2x the first run's %d — pooled machine leaked stats",
 			snap2["cpu.cycles"], first)
 	}
-	if snap2["trace.replays"] == 0 || snap2["trace.bytes_replayed"] == 0 {
-		t.Errorf("replay metrics missing: replays=%d bytes=%d",
-			snap2["trace.replays"], snap2["trace.bytes_replayed"])
+	if n := snap2["harness.point_wall_us.count"]; n != 2 {
+		t.Errorf("harness.point_wall_us.count = %d after two points, want 2", n)
 	}
 }
 
@@ -114,12 +111,9 @@ func TestArmedRunHarvestsAllLayers(t *testing.T) {
 func TestArmedRunDoesNotChangeResults(t *testing.T) {
 	defer obsReset()
 	obsReset()
-	defer ResetTraces()
-	ResetTraces()
 	w := firstWorkload(t)
 	p := workloads.Params{Size: resetSize(w), Seed: 1}
 	disarmed := RunWorkload(w, p, ct.BIA{}, 1)
-	ResetTraces()
 	obs.Arm()
 	obs.EnableTimeline()
 	armed := RunWorkload(w, p, ct.BIA{}, 1)

@@ -30,18 +30,6 @@ var tablePools = func() [4]*cpu.Pool {
 	return pools
 }()
 
-// tablePoolFP precomputes each Table 1 pool's config fingerprint so
-// trace keys don't rebuild it per run.
-var tablePoolFP = func() [4]string {
-	var fps [4]string
-	for lvl := range fps {
-		cfg := cpu.DefaultConfig()
-		cfg.BIALevel = lvl
-		fps[lvl] = cfg.Fingerprint()
-	}
-	return fps
-}()
-
 // poolReg extends the Table 1 pools to arbitrary geometries: one pool
 // per config fingerprint, built on first use. Geometry-sweep
 // experiments run every point through here so each distinct machine
@@ -53,14 +41,15 @@ var poolReg = struct {
 }{pools: func() map[string]*cpu.Pool {
 	m := make(map[string]*cpu.Pool, len(tablePools))
 	for lvl, p := range tablePools {
-		m[tablePoolFP[lvl]] = p
+		cfg := cpu.DefaultConfig()
+		cfg.BIALevel = lvl
+		m[cfg.Fingerprint()] = p
 	}
 	return m
 }()}
 
-// poolFor returns the machine pool and config fingerprint for cfg,
-// creating the pool on first use.
-func poolFor(cfg cpu.Config) (*cpu.Pool, string) {
+// poolFor returns the machine pool for cfg, creating it on first use.
+func poolFor(cfg cpu.Config) *cpu.Pool {
 	fp := cfg.Fingerprint()
 	poolReg.Lock()
 	p := poolReg.pools[fp]
@@ -69,7 +58,7 @@ func poolFor(cfg cpu.Config) (*cpu.Pool, string) {
 		poolReg.pools[fp] = p
 	}
 	poolReg.Unlock()
-	return p, fp
+	return p
 }
 
 // MachineFor builds a Table 1 machine with the BIA at the given level
@@ -87,49 +76,26 @@ func MachineFor(biaLevel int) *cpu.Machine {
 // Table 1 machine drawn from the per-placement pool, verifies the
 // result against the pure-Go reference (an experiment with a wrong
 // answer must never be reported), and returns the machine's report.
-// Runs go through the trace engine (see trace.go): the first execution
-// of a point records its operation stream, repeats replay it through
-// the batched interpreter and re-verify against the reference.
 func RunWorkload(w workloads.Workload, p workloads.Params, s ct.Strategy, biaLevel int) cpu.Report {
-	return runTraced(tablePools[biaLevel],
-		workloadTraceKey(w, p, s, biaLevel, tablePoolFP[biaLevel]),
-		w.Name()+"/"+s.Name(),
-		tablePoolFP[biaLevel],
-		func() uint64 { return w.Reference(p) },
-		func(m *cpu.Machine) uint64 { return w.Run(m, s, p) })
+	return runWorkloadIn(tablePools[biaLevel], w, p, s)
 }
 
 // RunWorkloadOn is RunWorkload for an arbitrary machine config — the
-// entry point of the geometry-sweep experiments. Share-eligible
-// strategies (insecure, software-CT) replay one recording across every
-// config passed here; the BIA family keys per config as usual.
+// entry point of the geometry-sweep experiments.
 func RunWorkloadOn(cfg cpu.Config, w workloads.Workload, p workloads.Params, s ct.Strategy) cpu.Report {
-	pool, fp := poolFor(cfg)
-	return runTraced(pool,
-		workloadTraceKey(w, p, s, cfg.BIALevel, fp),
-		w.Name()+"/"+s.Name(),
-		fp,
+	return runWorkloadIn(poolFor(cfg), w, p, s)
+}
+
+// runWorkloadIn runs one workload point on a machine from pool.
+func runWorkloadIn(pool *cpu.Pool, w workloads.Workload, p workloads.Params, s ct.Strategy) cpu.Report {
+	return runPoint(pool, w.Name()+"/"+s.Name(),
 		func() uint64 { return w.Reference(p) },
 		func(m *cpu.Machine) uint64 { return w.Run(m, s, p) })
 }
 
 // RunKernel is RunWorkload for the crypto kernels.
 func RunKernel(k ctcrypto.Kernel, p ctcrypto.Params, s ct.Strategy, biaLevel int) cpu.Report {
-	return runTraced(tablePools[biaLevel],
-		kernelTraceKey(k, p, s, biaLevel, tablePoolFP[biaLevel]),
-		k.Name()+"/"+s.Name(),
-		tablePoolFP[biaLevel],
-		func() uint64 { return k.Reference(p) },
-		func(m *cpu.Machine) uint64 { return k.Run(m, s, p) })
-}
-
-// RunKernelOn is RunWorkloadOn for the crypto kernels.
-func RunKernelOn(cfg cpu.Config, k ctcrypto.Kernel, p ctcrypto.Params, s ct.Strategy) cpu.Report {
-	pool, fp := poolFor(cfg)
-	return runTraced(pool,
-		kernelTraceKey(k, p, s, cfg.BIALevel, fp),
-		k.Name()+"/"+s.Name(),
-		fp,
+	return runPoint(tablePools[biaLevel], k.Name()+"/"+s.Name(),
 		func() uint64 { return k.Reference(p) },
 		func(m *cpu.Machine) uint64 { return k.Run(m, s, p) })
 }
@@ -148,8 +114,7 @@ type strategyRuns struct {
 // goroutines with no shared state and bit-identical results.
 //
 // A panicking strategy run is recovered into a PointError; the other
-// three strategies still complete (their traces and pool state stay
-// warm for a retry) and the first failure is re-panicked for the
+// three strategies still complete and the first failure is re-panicked for the
 // caller's per-point recovery to turn into a FAILED row.
 func runAllStrategies(w workloads.Workload, p workloads.Params, parallel bool) strategyRuns {
 	var r strategyRuns
@@ -301,8 +266,8 @@ type Result struct {
 	// concurrent experiments the windows overlap, so per-experiment
 	// attribution is approximate there; run-level totals stay exact.
 	Metrics map[string]uint64
-	// Points counts simulation points executed during this experiment
-	// (zero when the layer is disarmed); same overlap caveat as Metrics.
+	// Points counts simulation points executed during this experiment,
+	// whether or not obs is armed; same overlap caveat as Metrics.
 	// Fleet workers report it so the coordinator's /progress covers
 	// remote execution.
 	Points uint64
@@ -467,13 +432,13 @@ func RunOne(e Experiment, o Options) (res Result) {
 	sp := obs.StartSpan("experiment", e.ID)
 	defer sp.End()
 	obsBefore := obsSnapshot()
-	ptsBefore := obs.ProgressPoints()
+	ptsBefore := PointsRun()
 	defer func() {
 		if rec := recover(); rec != nil {
 			pe := toPointError(rec)
 			pe.Experiment = e.ID
 			res = Result{Experiment: e, Table: failedTable(e, pe), Err: pe,
-				Wall: time.Since(start), Points: obs.ProgressPoints() - ptsBefore}
+				Wall: time.Since(start), Points: PointsRun() - ptsBefore}
 		}
 	}()
 	faultinject.Check("worker.panic", e.ID, false)
@@ -485,6 +450,6 @@ func RunOne(e Experiment, o Options) (res Result) {
 		Wall:       time.Since(start),
 		Machines:   machineUses() - before,
 		Metrics:    obsDelta(obsBefore),
-		Points:     obs.ProgressPoints() - ptsBefore,
+		Points:     PointsRun() - ptsBefore,
 	}
 }

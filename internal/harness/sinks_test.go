@@ -105,8 +105,6 @@ func TestSinkContentionBenchHighWorkers(t *testing.T) {
 func TestTablesByteIdenticalUnderSharding(t *testing.T) {
 	defer obsReset()
 	obsReset()
-	defer ResetTraces()
-	ResetTraces()
 	exps := Experiments()
 	if len(exps) == 0 {
 		t.Fatal("no experiments registered")
@@ -121,7 +119,6 @@ func TestTablesByteIdenticalUnderSharding(t *testing.T) {
 
 	render := func(armed bool) string {
 		obsReset()
-		ResetTraces()
 		if armed {
 			obs.Arm()
 		}

@@ -8,7 +8,7 @@
 // Like internal/faultinject, the package is armed explicitly; disarmed
 // (the default), every probe compiled into the hot layers costs a
 // single atomic load and allocates nothing — the repository's
-// alloc-budget benchmarks enforce that the access and replay paths
+// alloc-budget benchmarks enforce that the access and sweep paths
 // stay zero-alloc with the layer present but disarmed, and the
 // experiment tables are byte-identical either way (observation never
 // feeds back into simulation).
@@ -23,7 +23,7 @@
 // machine model keeps its existing per-machine statistics and the
 // harness harvests them into the registry (cpu.Machine.EmitMetrics)
 // after each completed run, so internal/cpu and below never import
-// obs. Pull-only producers (the trace engine, the result cache)
+// obs. Pull-only producers (the result cache, the manifest)
 // register a Source instead and are read at snapshot time.
 package obs
 
@@ -174,7 +174,7 @@ func (h *Histogram) Observe(v uint64) {
 }
 
 // Source is a pull-side metrics producer: called at snapshot time with
-// an emit callback. The trace engine and result cache register sources
+// an emit callback. The result cache and manifest register sources
 // so their internal counters appear in every export without the hot
 // paths pushing per-event.
 type Source func(emit func(name string, v uint64))

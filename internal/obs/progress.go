@@ -40,7 +40,7 @@ func ProgressExpDone(cached, failed bool) {
 	}
 }
 
-// NotePoint books one executed simulation point (direct or replayed).
+// NotePoint books one executed simulation point.
 // Disarmed it is a single atomic load.
 func NotePoint() {
 	if !armed.Load() {
@@ -54,10 +54,6 @@ func ProgressCounts() (total, done, failed, cached, points uint64) {
 	return progress.total.Load(), progress.done.Load(),
 		progress.failed.Load(), progress.cached.Load(), progress.points.Load()
 }
-
-// ProgressPoints returns the cumulative executed-point count alone —
-// what a fleet worker reports on each heartbeat.
-func ProgressPoints() uint64 { return progress.points.Load() }
 
 // Fleet progress: a distributed sweep's coordinator executes some
 // units in-process (cache hits, the graceful-degradation drain) while

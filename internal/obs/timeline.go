@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// The timeline tracer records harness phases (experiment → sweep point
-// → strategy → record/replay/cache-lookup) as complete ("X") events in
+// The timeline tracer records harness phases (experiment → strategy →
+// simulation point, and cache lookups) as complete ("X") events in
 // Chrome trace-event format, so `ctbench -timeline out.json` produces
 // a file Perfetto or chrome://tracing opens directly.
 //

@@ -115,8 +115,8 @@ const versionMarker = "VERSION"
 //
 // salt is the caller's version salt (harness.SimVersionSalt for
 // ctbench). A read-write store compares it against the directory's
-// version marker and, on mismatch, prunes every stored entry — result
-// JSON and persisted traces alike — before writing the new marker.
+// version marker and, on mismatch, prunes every stored entry (see
+// clearEntries) before writing the new marker.
 // Entries keyed under an old salt could never be *served* again (the
 // salt is hashed into every key), so pruning is purely hygiene: it
 // stops dead files accumulating forever. Pass "" to skip the check.
@@ -158,19 +158,21 @@ func pruneStale(dir, salt string) int {
 	return n
 }
 
-// TracesSubdir is the conventional subdirectory of a result directory
-// where the harness persists recorded traces; pruning and Clear cover
-// it so stale traces die with the results they were recorded alongside.
-const TracesSubdir = "traces"
+// tracesSubdir is the subdirectory where older ctbench binaries, which
+// had an op-stream trace engine, persisted their recordings next to the
+// results. Nothing writes it any more; pruning and Clear still empty it
+// so a cache directory those binaries used gets its disk back.
+const tracesSubdir = "traces"
 
-// clearEntries removes every result and trace file under dir,
-// returning how many went. Unremovable files are skipped — the next
-// prune retries them.
+// clearEntries removes every result file under dir, plus the quarantine
+// and the trace files older binaries left in tracesSubdir, returning
+// how many went. Unremovable files are skipped — the next prune
+// retries them.
 func clearEntries(dir string) int {
 	n := 0
 	for _, pat := range []string{
 		filepath.Join(dir, "*.json"),
-		filepath.Join(dir, TracesSubdir, "*.trace"),
+		filepath.Join(dir, tracesSubdir, "*.trace"),
 		filepath.Join(dir, QuarantineSubdir, "*.json.bad"),
 	} {
 		matches, _ := filepath.Glob(pat)
@@ -192,7 +194,7 @@ func (s *Store) Pruned() int {
 	return s.pruned
 }
 
-// Clear removes every entry (results and traces) from a read-write
+// Clear removes every entry (see clearEntries) from a read-write
 // store, keeping the version marker, and returns how many were
 // removed.
 func (s *Store) Clear() (int, error) {
@@ -310,7 +312,7 @@ func (s *Store) Quarantined() uint64 {
 
 // EnsureWritable verifies dir can host a store: it must be creatable
 // and allow file creation. CLIs call this up front so a bad -cachedir
-// or -tracedir is a friendly flag error, not a sweep that silently
+// is a friendly flag error, not a sweep that silently
 // caches nothing (or dies mid-run).
 func EnsureWritable(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -186,8 +186,9 @@ func TestOpenOffIsNil(t *testing.T) {
 }
 
 // TestSaltPrune pins the startup hygiene: a read-write store opened
-// with a new salt removes entries (results and traces) written under
-// the old one, and a same-salt reopen leaves everything alone.
+// with a new salt removes entries (results, and the trace files older
+// binaries left behind) written under the old one, and a same-salt
+// reopen leaves everything alone.
 func TestSaltPrune(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, ReadWrite, "sim-v1")
@@ -201,7 +202,7 @@ func TestSaltPrune(t *testing.T) {
 	if err := s.Save(key, payload{Name: "keep"}); err != nil {
 		t.Fatal(err)
 	}
-	tdir := filepath.Join(dir, TracesSubdir)
+	tdir := filepath.Join(dir, tracesSubdir)
 	if err := os.MkdirAll(tdir, 0o755); err != nil {
 		t.Fatal(err)
 	}
